@@ -3,9 +3,8 @@
 //! The paper's "Associative" comparison algorithm: the forward (filtering)
 //! and backward (smoothing) sweeps of a conventional RTS smoother are
 //! restructured as *prefix sums* under custom associative operations, then
-//! evaluated with a parallel scan (`kalman_par::inclusive_scan_in_place` /
-//! `suffix_scan_in_place`), giving a `Θ(log k)` critical path in the number
-//! of combine operations.
+//! evaluated with a parallel scan, giving a `Θ(log k)` critical path in
+//! the number of combine operations.
 //!
 //! Characteristics relative to the odd-even QR smoother (paper §6):
 //!
@@ -17,16 +16,13 @@
 //!   about its numerical stability, whereas the QR smoothers are
 //!   conditionally backward stable.
 //!
-//! Since the backend unification the smoother runs on the plan/execute
-//! engine: [`ScanPlan`] executes a shared symbolic
-//! [`kalman_odd_even::ScanSchedule`] against whitened step data with
-//! plan-owned scratch (zero steady-state allocations), implements
-//! [`kalman_odd_even::SmootherBackend`], and serves through the streaming
-//! stack next to the odd-even plan.  Its fixed Brent–Kung combine tree
-//! makes `Seq ≡ Par` **bitwise** (the one-shot scan helpers in
-//! `kalman-par` only promise rounding-level agreement across grains).
-//! [`associative_smooth`] is a thin one-shot wrapper over a transient
-//! plan.
+//! The smoother runs on a plan/execute engine: [`ScanPlan`] executes a
+//! symbolic [`ScanSchedule`] against whitened step data
+//! with plan-owned scratch.  Its fixed Brent–Kung combine tree makes
+//! `Seq ≡ Par` **bitwise**.  [`associative_smooth`] is a thin one-shot
+//! wrapper over a transient plan.  This crate is the batch paper baseline
+//! (`fig2`); the streaming and serving layers run only the odd-even
+//! smoother, which is faster on every shape they serve.
 //!
 //! # Example
 //!
@@ -46,8 +42,10 @@
 
 mod elements;
 mod plan;
+mod scan;
 mod smoother;
 
 pub use elements::{FilterElement, SmoothElement};
 pub use plan::{ScanOptions, ScanPlan};
-pub use smoother::{associative_filter, associative_smooth, AssociativeOptions};
+pub use scan::{ScanLevel, ScanSchedule};
+pub use smoother::{associative_smooth, AssociativeOptions};

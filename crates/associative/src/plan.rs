@@ -1,10 +1,10 @@
 //! Plan/execute split for the associative-scan smoother.
 //!
 //! [`ScanPlan`] is the scan counterpart of `kalman_odd_even::SmoothPlan`:
-//! a shared symbolic [`ScanSchedule`] (which element pairs combine at which
+//! a symbolic [`ScanSchedule`] (which element pairs combine at which
 //! sweep level — a function of the window length alone) plus plan-owned
-//! numeric scratch, executing against borrowed [`WhitenedStep`] data so the
-//! same whitened window every other backend consumes drives the scan too.
+//! numeric scratch, executing against borrowed [`WhitenedStep`] data — the
+//! same whitened steps the odd-even plan consumes.
 //! In steady state (same schedule call after call) `execute`/`solve_into`/
 //! `selinv_into` perform **zero heap allocations**: element and sweep
 //! containers retain capacity, every matrix cycles through the
@@ -26,23 +26,19 @@
 //! form: `J₀ = CᵀC`, `η₀ = Cᵀ·rhs`, and a Cholesky of `J₀` yields the
 //! posterior `(m₀, P₀)` seeding the first element.  A window whose head
 //! rows do not determine state 0 (no prior, rank-deficient observations)
-//! fails with [`KalmanError::RankDeficient`] — dispatchers fall back to the
-//! odd-even backend, which handles the semidefinite case.
+//! fails with [`KalmanError::RankDeficient`]; the odd-even smoother
+//! handles that semidefinite case.
 //!
 //! Both sweeps run the schedule's fixed Brent–Kung tree: each level's
 //! disjoint pairs combine in parallel into pre-assigned slots and write
 //! back serially, so `ExecPolicy::Seq` and `ExecPolicy::par()` perform the
-//! identical floating-point operations — the scan backend is bitwise
-//! deterministic across thread counts and grains.  With
-//! [`ScanOptions::fold`] the plan instead folds the same elements left to
-//! right (the `SequentialRts` backend): a different association order,
-//! agreeing with the tree to rounding (≤ 1e-8), useful as the cheap
-//! sequential reference and for short windows where tree overhead loses.
+//! identical floating-point operations — the scan is bitwise deterministic
+//! across thread counts and grains.
 
 use crate::elements::{FilterElement, SmoothElement};
+use crate::ScanSchedule;
 use kalman_dense::{gemm, matmul, matmul_tn, Cholesky, LuFactor, Matrix, Trans};
 use kalman_model::{KalmanError, LinearModel, Result, Smoothed, WhitenedEvo, WhitenedStep};
-use kalman_odd_even::{BackendKind, ScanSchedule};
 use kalman_par::{map_collect_into, ExecPolicy};
 use std::sync::Arc;
 
@@ -51,17 +47,12 @@ use std::sync::Arc;
 pub struct ScanOptions {
     /// Execution policy for element construction and the tree sweeps.
     pub policy: ExecPolicy,
-    /// Fold the elements sequentially instead of sweeping the tree — the
-    /// `SequentialRts` backend.  The fold ignores `policy` for the sweeps
-    /// (element construction still parallelizes).
-    pub fold: bool,
 }
 
 impl Default for ScanOptions {
     fn default() -> Self {
         ScanOptions {
             policy: ExecPolicy::par(),
-            fold: false,
         }
     }
 }
@@ -79,10 +70,10 @@ fn cov_form(i: usize, evo: &WhitenedEvo) -> Result<CovForm> {
     let n = evo.d.cols();
     if evo.d.rows() != n || evo.b.cols() != n {
         return Err(KalmanError::UnsupportedStructure(
-            "the scan backend requires square evolution blocks (uniform dimensions, H = I)".into(),
+            "the scan smoother requires square evolution blocks (uniform dimensions, H = I)".into(),
         ));
     }
-    let lu = LuFactor::new(evo.d.clone()) // lint: allow(alloc, "pooled Matrix clone: buffers come from the thread-local workspace; steady-state scan flushes are heap-alloc-free (tests/alloc_steady_state.rs)")
+    let lu = LuFactor::new(evo.d.clone()) // lint: allow(alloc, "pooled Matrix clone: buffers come from the thread-local workspace; steady-state re-executions stay heap-alloc-free")
         .map_err(|_| KalmanError::RankDeficient { state: i })?;
     let f = lu.solve(&evo.b);
     let c = lu.solve(&evo.rhs);
@@ -125,7 +116,7 @@ fn filter_element(
     let n = form.f.rows();
     let Some(obs) = obs else {
         return Ok(FilterElement {
-            a: form.f.clone(), // lint: allow(alloc, "pooled Matrix clone: buffers come from the thread-local workspace; steady-state scan flushes are heap-alloc-free (tests/alloc_steady_state.rs)")
+            a: form.f.clone(), // lint: allow(alloc, "pooled Matrix clone: buffers come from the thread-local workspace; steady-state re-executions stay heap-alloc-free")
             b: form.c.clone(), // lint: allow(alloc, "pooled Matrix clone, as above")
             c: form.q.clone(), // lint: allow(alloc, "pooled Matrix clone, as above")
             eta: Matrix::zeros(n, 1),
@@ -173,7 +164,7 @@ fn smooth_element(
     let Some(form) = next else {
         return Ok(SmoothElement {
             e: Matrix::zeros(n, n),
-            g: m.clone(), // lint: allow(alloc, "pooled Matrix clone: buffers come from the thread-local workspace; steady-state scan flushes are heap-alloc-free (tests/alloc_steady_state.rs)")
+            g: m.clone(), // lint: allow(alloc, "pooled Matrix clone: buffers come from the thread-local workspace; steady-state re-executions stay heap-alloc-free")
             l: p.clone(), // lint: allow(alloc, "pooled Matrix clone, as above")
         });
     };
@@ -208,12 +199,11 @@ fn arena_pays_off(schedule: &ScanSchedule) -> bool {
     8 * k > kalman_dense::budget_for_len((n * n).max(1)).max(1)
 }
 
-/// An executable associative-scan smoothing plan: a shared
+/// An executable associative-scan smoothing plan: a
 /// [`ScanSchedule`] plus this consumer's element scratch and
 /// execution-policy decisions.  The scan analogue of
 /// `kalman_odd_even::SmoothPlan` — see the module docs for the numeric
-/// pipeline, and DESIGN.md §"Backend trait + dispatch" for how streams
-/// pick between the two.
+/// pipeline.
 ///
 /// ```
 /// use kalman_associative::{ScanOptions, ScanPlan};
@@ -251,8 +241,14 @@ pub struct ScanPlan {
 }
 
 impl ScanPlan {
-    /// A plan executing `schedule` under `options`.
-    pub fn new(schedule: Arc<ScanSchedule>, options: ScanOptions) -> ScanPlan {
+    /// Builds the schedule for `dims` and wraps it in a plan.
+    ///
+    /// # Panics
+    ///
+    /// Panics on shapes outside the scan's structural domain (empty or
+    /// mixed state dimensions).
+    pub fn for_dims(dims: &[usize], options: ScanOptions) -> ScanPlan {
+        let schedule = Arc::new(ScanSchedule::build(dims));
         let arena = arena_pays_off(&schedule);
         ScanPlan {
             schedule,
@@ -271,16 +267,6 @@ impl ScanPlan {
         }
     }
 
-    /// Builds a fresh (unshared) schedule for `dims` and wraps it in a plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shapes outside the scan's structural domain
-    /// ([`kalman_odd_even::scan_supports_dims`]).
-    pub fn for_dims(dims: &[usize], options: ScanOptions) -> ScanPlan {
-        ScanPlan::new(Arc::new(ScanSchedule::build(dims)), options)
-    }
-
     /// A plan for a model's shape (validates the model first).
     ///
     /// # Errors
@@ -290,87 +276,18 @@ impl ScanPlan {
     pub fn for_model(model: &LinearModel, options: ScanOptions) -> Result<ScanPlan> {
         model.validate()?;
         let dims: Vec<usize> = model.steps.iter().map(|s| s.state_dim).collect();
-        if !kalman_odd_even::scan_supports_dims(&dims) {
+        if dims.windows(2).any(|w| w[0] != w[1]) {
             return Err(KalmanError::UnsupportedStructure(
-                "the scan backend requires uniform state dimensions".into(),
+                "the scan smoother requires uniform state dimensions".into(),
             ));
         }
         Ok(ScanPlan::for_dims(&dims, options))
-    }
-
-    /// The shared schedule backing this plan.
-    pub fn schedule(&self) -> &Arc<ScanSchedule> {
-        &self.schedule
-    }
-
-    /// Shorthand for `self.schedule().dims()`.
-    pub fn dims(&self) -> &[usize] {
-        self.schedule.dims()
-    }
-
-    /// Shorthand for `self.schedule().signature()`.
-    pub fn signature(&self) -> u64 {
-        self.schedule.signature()
-    }
-
-    /// The options the plan executes under.
-    pub fn options(&self) -> &ScanOptions {
-        &self.options
-    }
-
-    /// The backend this plan serves as: [`BackendKind::SequentialRts`] when
-    /// folding, [`BackendKind::Scan`] when sweeping the tree.
-    pub fn kind(&self) -> BackendKind {
-        if self.options.fold {
-            BackendKind::SequentialRts
-        } else {
-            BackendKind::Scan
-        }
-    }
-
-    /// Swaps in an externally shared schedule (a `PlanCache` hit) and
-    /// invalidates any held posterior.
-    pub fn set_schedule(&mut self, schedule: Arc<ScanSchedule>) {
-        self.schedule = schedule;
-        self.executed = false;
-        self.arena = arena_pays_off(&self.schedule);
-    }
-
-    /// Re-plans for `dims` if the shape changed; returns `true` when a
-    /// rebuild happened.  An unshared schedule is rebuilt in place; a
-    /// shared one is replaced by a fresh `Arc` so sibling plans keep theirs.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shapes outside the scan's structural domain — dispatchers
-    /// resolve those to the odd-even backend before touching a scan plan.
-    pub fn ensure_shape(&mut self, dims: &[usize]) -> bool {
-        if self.schedule.dims() == dims {
-            return false;
-        }
-        match Arc::get_mut(&mut self.schedule) {
-            Some(s) => s.rebuild(dims),
-            None => self.schedule = Arc::new(ScanSchedule::build(dims)),
-        }
-        kalman_obs::event(
-            "scan.plan_rebuild",
-            kalman_odd_even::signature_of_dims(dims.iter().copied()),
-            dims.len() as u64,
-        );
-        self.executed = false;
-        self.arena = arena_pays_off(&self.schedule);
-        true
     }
 
     /// Overrides the plan-owned arena decision (see
     /// `kalman_odd_even::SmoothPlan::set_arena` — same contract).
     pub fn set_arena(&mut self, on: bool) {
         self.arena = on;
-    }
-
-    /// `true` when the plan holds the workspace arena during executes.
-    pub fn arena(&self) -> bool {
-        self.arena
     }
 
     fn arena_guard(&self) -> Option<kalman_dense::ArenaScope> {
@@ -386,9 +303,7 @@ impl ScanPlan {
     /// the forward and backward sweeps, leaving the smoothed posterior in
     /// plan-owned scratch for [`ScanPlan::solve_into`] /
     /// [`ScanPlan::selinv_into`].  On success `steps` is drained (capacity
-    /// retained for the caller to refill); on **any** error `steps` is left
-    /// intact so the caller can re-execute the same window on another
-    /// backend (the dispatcher's numeric-fallback path).
+    /// retained for the caller to refill); on error `steps` is left intact.
     ///
     /// # Errors
     ///
@@ -412,7 +327,6 @@ impl ScanPlan {
         let schedule = Arc::clone(&self.schedule);
 
         {
-            let _span = kalman_obs::span!("scan.elements");
             let step_slice: &[WhitenedStep] = steps;
             map_collect_into(
                 self.options.policy.for_len(k1),
@@ -440,35 +354,25 @@ impl ScanPlan {
         }
 
         {
-            let _span = kalman_obs::span!("scan.fwd");
-            if self.options.fold {
-                for i in 1..k1 {
-                    let (head, tail) = self.felems.split_at_mut(i);
-                    let combined = head[i - 1].combine(&tail[0]);
-                    tail[0] = combined;
-                }
-            } else {
-                for level in schedule.levels() {
-                    let pairs = level.pairs();
-                    let felems = &self.felems;
-                    map_collect_into(
-                        self.options.policy.for_len(pairs.len()),
-                        pairs.len(),
-                        &mut self.pair_f,
-                        |j| {
-                            let (src, dst) = pairs[j];
-                            felems[src as usize].combine(&felems[dst as usize])
-                        },
-                    );
-                    for (j, &(_, dst)) in pairs.iter().enumerate() {
-                        self.felems[dst as usize] = self.pair_f[j].take().expect("filled above");
-                    }
+            for level in schedule.levels() {
+                let pairs = level.pairs();
+                let felems = &self.felems;
+                map_collect_into(
+                    self.options.policy.for_len(pairs.len()),
+                    pairs.len(),
+                    &mut self.pair_f,
+                    |j| {
+                        let (src, dst) = pairs[j];
+                        felems[src as usize].combine(&felems[dst as usize])
+                    },
+                );
+                for (j, &(_, dst)) in pairs.iter().enumerate() {
+                    self.felems[dst as usize] = self.pair_f[j].take().expect("filled above");
                 }
             }
         }
 
         {
-            let _span = kalman_obs::span!("scan.smooth");
             let felems = &self.felems;
             let forms = &self.forms;
             map_collect_into(
@@ -487,35 +391,26 @@ impl ScanPlan {
         }
 
         {
-            let _span = kalman_obs::span!("scan.bwd");
             let last = k1 - 1;
-            if self.options.fold {
-                for i in (0..last).rev() {
-                    let (head, tail) = self.selems.split_at_mut(i + 1);
-                    let combined = head[i].combine(&tail[0]);
-                    head[i] = combined;
-                }
-            } else {
-                // The same pair lists run the suffix sweep mirrored: indices
-                // reflect (`i ↦ last − i`) and the mirrored dst slot is the
-                // *earlier* operand of the combine.
-                for level in schedule.levels() {
-                    let pairs = level.pairs();
-                    let selems = &self.selems;
-                    map_collect_into(
-                        self.options.policy.for_len(pairs.len()),
-                        pairs.len(),
-                        &mut self.pair_s,
-                        |j| {
-                            let (src, dst) = pairs[j];
-                            let (msrc, mdst) = (last - src as usize, last - dst as usize);
-                            selems[mdst].combine(&selems[msrc])
-                        },
-                    );
-                    for (j, &(_, dst)) in pairs.iter().enumerate() {
-                        let mdst = last - dst as usize;
-                        self.selems[mdst] = self.pair_s[j].take().expect("filled above");
-                    }
+            // The same pair lists run the suffix sweep mirrored: indices
+            // reflect (`i ↦ last − i`) and the mirrored dst slot is the
+            // *earlier* operand of the combine.
+            for level in schedule.levels() {
+                let pairs = level.pairs();
+                let selems = &self.selems;
+                map_collect_into(
+                    self.options.policy.for_len(pairs.len()),
+                    pairs.len(),
+                    &mut self.pair_s,
+                    |j| {
+                        let (src, dst) = pairs[j];
+                        let (msrc, mdst) = (last - src as usize, last - dst as usize);
+                        selems[mdst].combine(&selems[msrc])
+                    },
+                );
+                for (j, &(_, dst)) in pairs.iter().enumerate() {
+                    let mdst = last - dst as usize;
+                    self.selems[mdst] = self.pair_s[j].take().expect("filled above");
                 }
             }
         }
@@ -543,7 +438,6 @@ impl ScanPlan {
     /// No prior [`ScanPlan::execute`].
     pub fn solve_into(&mut self, means: &mut Vec<Vec<f64>>) -> Result<()> {
         self.require_executed()?;
-        let _span = kalman_obs::span!("scan.solve");
         let k1 = self.selems.len();
         means.truncate(k1);
         while means.len() < k1 {
@@ -566,7 +460,6 @@ impl ScanPlan {
     /// No prior [`ScanPlan::execute`].
     pub fn selinv_into(&mut self, covs: &mut Vec<Matrix>) -> Result<()> {
         self.require_executed()?;
-        let _span = kalman_obs::span!("scan.selinv");
         let k1 = self.selems.len();
         covs.truncate(k1);
         while covs.len() < k1 {
@@ -592,7 +485,6 @@ impl ScanPlan {
         let _arena = self.arena_guard();
         let k1 = model.num_states();
         {
-            let _span = kalman_obs::span!("scan.whiten");
             map_collect_into(
                 self.options.policy.for_len(k1),
                 k1,
@@ -626,36 +518,6 @@ impl ScanPlan {
         };
         self.smooth_model_into(model, &mut out)?;
         Ok(out)
-    }
-}
-
-impl kalman_odd_even::SmootherBackend for ScanPlan {
-    fn kind(&self) -> BackendKind {
-        ScanPlan::kind(self)
-    }
-
-    fn dims(&self) -> &[usize] {
-        ScanPlan::dims(self)
-    }
-
-    fn signature(&self) -> u64 {
-        ScanPlan::signature(self)
-    }
-
-    fn ensure_shape(&mut self, dims: &[usize]) -> bool {
-        ScanPlan::ensure_shape(self, dims)
-    }
-
-    fn execute(&mut self, steps: &mut Vec<WhitenedStep>) -> Result<()> {
-        ScanPlan::execute(self, steps)
-    }
-
-    fn solve_into(&mut self, means: &mut Vec<Vec<f64>>) -> Result<()> {
-        ScanPlan::solve_into(self, means)
-    }
-
-    fn selinv_into(&mut self, covs: &mut Vec<Matrix>) -> Result<()> {
-        ScanPlan::selinv_into(self, covs)
     }
 }
 
@@ -694,42 +556,13 @@ mod tests {
             ExecPolicy::par_with_grain(1),
             ExecPolicy::par_with_grain(7),
         ] {
-            let mut plan = ScanPlan::for_model(
-                &model,
-                ScanOptions {
-                    policy,
-                    fold: false,
-                },
-            )
-            .unwrap();
+            let mut plan = ScanPlan::for_model(&model, ScanOptions { policy }).unwrap();
             results.push(plan.smooth_model(&model).unwrap());
         }
         for other in &results[1..] {
             assert_eq!(results[0].max_mean_diff(other), 0.0);
             assert_eq!(results[0].max_cov_diff(other), Some(0.0));
         }
-    }
-
-    #[test]
-    fn fold_agrees_with_tree_to_rounding() {
-        let model = generators::paper_benchmark(&mut rng(93), 3, 41, true);
-        let mut tree = ScanPlan::for_model(&model, ScanOptions::default()).unwrap();
-        let mut fold = ScanPlan::for_model(
-            &model,
-            ScanOptions {
-                fold: true,
-                ..ScanOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(fold.kind(), BackendKind::SequentialRts);
-        assert_eq!(tree.kind(), BackendKind::Scan);
-        let t = tree.smooth_model(&model).unwrap();
-        let f = fold.smooth_model(&model).unwrap();
-        assert!(t.max_mean_diff(&f) < 1e-9);
-        assert!(t.max_cov_diff(&f).unwrap() < 1e-9);
-        let dense = solve_dense(&model).unwrap();
-        assert!(f.max_mean_diff(&dense) < 1e-8);
     }
 
     #[test]
@@ -766,7 +599,7 @@ mod tests {
             plan.execute(&mut steps),
             Err(KalmanError::PriorRequired)
         ));
-        // The window survives the failure for a fallback re-execute.
+        // The window survives the failure.
         assert_eq!(steps.len(), 10);
         assert!(plan.solve_into(&mut Vec::new()).is_err());
     }
@@ -781,7 +614,7 @@ mod tests {
             Err(KalmanError::InvalidModel(_))
         ));
         assert_eq!(steps.len(), 9);
-        plan.ensure_shape(&[2; 9]);
+        let mut plan = ScanPlan::for_dims(&[2; 9], ScanOptions::default());
         plan.execute(&mut steps).unwrap();
         assert!(steps.is_empty());
         let mut means = Vec::new();
@@ -796,14 +629,6 @@ mod tests {
         let scan = plan.smooth_model(&model).unwrap();
         let dense = solve_dense(&model).unwrap();
         assert!(scan.max_mean_diff(&dense) < 1e-10);
-    }
-
-    #[test]
-    fn ensure_shape_rebuilds_only_on_change() {
-        let mut plan = ScanPlan::for_dims(&[2; 8], ScanOptions::default());
-        assert!(!plan.ensure_shape(&[2; 8]));
-        assert!(plan.ensure_shape(&[2; 12]));
-        assert_eq!(plan.dims(), &[2; 12]);
     }
 
     #[test]

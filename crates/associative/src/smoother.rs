@@ -1,9 +1,7 @@
 //! The two-scan smoother driver.
 
-use crate::elements::FilterElement;
-use kalman_dense::Matrix;
 use kalman_model::{KalmanError, LinearModel, Result, Smoothed};
-use kalman_par::{inclusive_scan_in_place, map_collect, ExecPolicy};
+use kalman_par::ExecPolicy;
 
 /// Options for the associative smoother.
 #[derive(Debug, Clone, Copy)]
@@ -34,27 +32,6 @@ fn check_supported(model: &LinearModel) -> Result<()> {
     Ok(())
 }
 
-/// Runs only the filtering scan, returning filtered means and covariances.
-///
-/// # Errors
-///
-/// [`KalmanError::PriorRequired`] / [`KalmanError::UnsupportedStructure`]
-/// for unsupported models; covariance failures propagate.
-pub fn associative_filter(
-    model: &LinearModel,
-    options: AssociativeOptions,
-) -> Result<(Vec<Vec<f64>>, Vec<Matrix>)> {
-    check_supported(model)?;
-    let k1 = model.num_states();
-    let elems: Vec<Result<FilterElement>> =
-        map_collect(options.policy, k1, |i| FilterElement::for_state(model, i));
-    let mut elems: Vec<FilterElement> = elems.into_iter().collect::<Result<_>>()?;
-    inclusive_scan_in_place(options.policy, &mut elems, |a, b| a.combine(b));
-    let means = elems.iter().map(|e| e.b.col(0).to_vec()).collect();
-    let covs = elems.into_iter().map(|e| e.c).collect();
-    Ok((means, covs))
-}
-
 /// Smooths `model` with the associative parallel-scan algorithm.
 ///
 /// A thin wrapper over the planned path: builds a transient
@@ -68,14 +45,14 @@ pub fn associative_filter(
 ///
 /// # Errors
 ///
-/// Same as [`associative_filter`].
+/// [`KalmanError::PriorRequired`] / [`KalmanError::UnsupportedStructure`]
+/// for unsupported models; covariance failures propagate.
 pub fn associative_smooth(model: &LinearModel, options: AssociativeOptions) -> Result<Smoothed> {
     check_supported(model)?;
     let mut plan = crate::ScanPlan::for_model(
         model,
         crate::ScanOptions {
             policy: options.policy,
-            fold: false,
         },
     )?;
     // One-shot execution: workspace retention would never be harvested.
@@ -87,25 +64,12 @@ pub fn associative_smooth(model: &LinearModel, options: AssociativeOptions) -> R
 mod tests {
     use super::*;
     use kalman_model::{generators, solve_dense};
-    use kalman_seq::{kalman_filter, rts_smooth};
+    use kalman_seq::rts_smooth;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
     fn rng(seed: u64) -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(seed)
-    }
-
-    #[test]
-    fn filter_matches_conventional_filter() {
-        let model = generators::paper_benchmark(&mut rng(60), 3, 25, true);
-        let (means, covs) = associative_filter(&model, AssociativeOptions::default()).unwrap();
-        let fr = kalman_filter(&model).unwrap();
-        for i in 0..model.num_states() {
-            for (x, y) in means[i].iter().zip(&fr.means[i]) {
-                assert!((x - y).abs() < 1e-8, "state {i}");
-            }
-            assert!(covs[i].approx_eq(&fr.covs[i], 1e-8), "cov {i}");
-        }
     }
 
     #[test]

@@ -32,13 +32,10 @@ use std::time::Instant;
 /// Plan-reuse amortization on the serving path: the latency of a stream's
 /// *first* flush (symbolic plan build + cold per-stream scratch) versus a
 /// steady-state flush re-executing the cached plan, on a fixed window
-/// shape (n = 4, lag = flush_every = 32), served by `backend`.  Returns
-/// (median first flush, median steady flush, min steady flush); the
-/// first/steady ratio is the `speedup/plan_reuse` entry the CI gate
-/// watches, and the min is the per-arm statistic of the backend A/B
-/// comparison (under `BackendPolicy::Auto` early flushes probe both
-/// backends, so the min is the informed-dispatch latency).
-fn flush_amortization(reps: usize, backend: BackendPolicy) -> (f64, f64, f64) {
+/// shape (n = 4, lag = flush_every = 32).  Medians over `reps` fresh
+/// streams / all steady flushes; the ratio is the `speedup/plan_reuse`
+/// entry the CI gate watches.
+fn flush_amortization(reps: usize) -> (f64, f64) {
     let n = 4usize;
     let opts = StreamOptions {
         lag: 32,
@@ -46,7 +43,6 @@ fn flush_amortization(reps: usize, backend: BackendPolicy) -> (f64, f64, f64) {
         covariances: false,
         policy: ExecPolicy::Seq,
         auto_flush: false,
-        backend,
         ..StreamOptions::default()
     };
     let model = panel_model(n, 1_000, 99);
@@ -84,23 +80,17 @@ fn flush_amortization(reps: usize, backend: BackendPolicy) -> (f64, f64, f64) {
                 steadies.push(t.elapsed().as_secs_f64());
             }
         }
-        let plan_cap = if matches!(backend, BackendPolicy::Auto) {
-            2 // Auto probes both backends once before trusting medians.
-        } else {
-            1
-        };
-        assert!(
-            stream.plan_builds() <= plan_cap,
-            "steady cadence must reuse its plans ({} builds)",
-            stream.plan_builds()
+        assert_eq!(
+            stream.plan_builds(),
+            1,
+            "steady cadence must reuse one plan"
         );
     }
-    let steady_min = steadies.iter().copied().fold(f64::INFINITY, f64::min);
     let median = |v: &mut Vec<f64>| {
         v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         v[v.len() / 2]
     };
-    (median(&mut firsts), median(&mut steadies), steady_min)
+    (median(&mut firsts), median(&mut steadies))
 }
 
 fn smoke(args: &mut Args) {
@@ -161,7 +151,7 @@ fn smoke(args: &mut Args) {
 
     // Plan-reuse amortization: first (planning) flush vs steady-state
     // (cached-plan) flush on the streaming serving path.
-    let (first, steady, _) = flush_amortization(9, BackendPolicy::OddEven);
+    let (first, steady) = flush_amortization(9);
     let amortization = first / steady;
     println!(
         "plan reuse (stream n=4, window 64): first flush {first:.2e} s, steady flush \
@@ -170,33 +160,6 @@ fn smoke(args: &mut Args) {
     entries.push(BenchEntry::new("stream/first_flush", first));
     entries.push(BenchEntry::new("stream/steady_flush", steady));
     entries.push(BenchEntry::new("speedup/plan_reuse", amortization));
-
-    // Backend dispatch on the serving path: the same steady-state flush
-    // served by the odd-even, associative-scan, and Auto backends, in
-    // interleaved rounds with min-of-rounds per arm.  The gated ratio is
-    // best-fixed-backend / Auto — ~1.0 while Auto's measured dispatch
-    // keeps picking the faster backend; a dispatch regression (picking
-    // the slower backend, or overhead in the decision) drags it below
-    // the bench_check floor.
-    let backend_rounds = 5;
-    let mut oe_min = f64::INFINITY;
-    let mut scan_min = f64::INFINITY;
-    let mut auto_min = f64::INFINITY;
-    for _ in 0..backend_rounds {
-        oe_min = oe_min.min(flush_amortization(3, BackendPolicy::OddEven).2);
-        scan_min = scan_min.min(flush_amortization(3, BackendPolicy::Scan).2);
-        auto_min = auto_min.min(flush_amortization(3, BackendPolicy::Auto).2);
-    }
-    let auto_speedup = oe_min.min(scan_min) / auto_min;
-    println!(
-        "backend steady flush ({backend_rounds} interleaved rounds): odd-even \
-         {oe_min:.2e} s, scan {scan_min:.2e} s, auto {auto_min:.2e} s, \
-         speedup/backend_auto {auto_speedup:.2}x"
-    );
-    entries.push(BenchEntry::new("backend/odd_even_steady_flush", oe_min));
-    entries.push(BenchEntry::new("scan/steady_flush", scan_min));
-    entries.push(BenchEntry::new("backend/auto_steady_flush", auto_min));
-    entries.push(BenchEntry::new("speedup/backend_auto", auto_speedup));
 
     // Instrumentation overhead: the same steady-state flush measured with
     // the obs runtime switch off vs on, in interleaved rounds with
@@ -209,9 +172,9 @@ fn smoke(args: &mut Args) {
     let mut min_off = f64::INFINITY;
     for _ in 0..obs_rounds {
         kalman::obs::set_enabled(false);
-        min_off = min_off.min(flush_amortization(3, BackendPolicy::OddEven).1);
+        min_off = min_off.min(flush_amortization(3).1);
         kalman::obs::set_enabled(true);
-        min_on = min_on.min(flush_amortization(3, BackendPolicy::OddEven).1);
+        min_on = min_on.min(flush_amortization(3).1);
     }
     let obs_speedup = min_off / min_on;
     println!(
@@ -228,13 +191,10 @@ fn smoke(args: &mut Args) {
              A/B mins of {rounds} rounds per pair (reference = unblocked kernels + \
              pooling off, blocked = default dispatch incl. SIMD/mono kernels); \
              stream/* + speedup/plan_reuse: first vs steady-state flush of a n=4 \
-             lag=32 stream; backend/* + scan/steady_flush + speedup/backend_auto: \
-             steady flush per smoother backend, interleaved mins of \
-             {backend_rounds} rounds, gate = best fixed backend / Auto; obs/* + \
-             speedup/obs_on: steady flush with instrumentation off vs on, \
-             interleaved mins of {obs_rounds} rounds; main-baseline/* and \
-             vs-main/* rows (when present) are historical A/B measurements vs \
-             pre-optimization main, carried in the baseline"
+             lag=32 stream; obs/* + speedup/obs_on: steady flush with \
+             instrumentation off vs on, interleaved mins of {obs_rounds} rounds; \
+             main-baseline/* and vs-main/* rows (when present) are historical \
+             A/B measurements vs pre-optimization main, carried in the baseline"
         );
         kalman_bench::write_bench_json(&json, &config, &entries).expect("write json");
         println!("wrote {json}");

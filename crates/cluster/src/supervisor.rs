@@ -47,6 +47,7 @@ use std::io::Write as _;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Cluster deployment and recovery policy.
@@ -270,9 +271,12 @@ pub struct Supervisor {
     /// Stream-level errors reported by workers (mirrors the in-process
     /// pool's `last_errors`).
     stream_errors: Vec<(u64, String)>,
-    /// Monotonic per-spawn nonce (socket path uniqueness).
-    spawn_nonce: u64,
 }
+
+/// Process-wide spawn counter: every worker socket path gets a fresh
+/// nonce, so supervisors running concurrently in one process never bind
+/// (and `remove_file`) each other's path.
+static SPAWN_NONCE: AtomicU64 = AtomicU64::new(0);
 
 impl Supervisor {
     /// Spawns every worker and waits for all of them to connect.
@@ -302,7 +306,6 @@ impl Supervisor {
             outputs: HashMap::new(),
             finished: HashMap::new(),
             stream_errors: Vec::new(),
-            spawn_nonce: 0,
             cfg,
         };
         for idx in 0..sup.cfg.workers {
@@ -981,8 +984,7 @@ impl Supervisor {
     /// Spawns one worker process and completes the handshake (listen,
     /// exec, accept, `Hello`, config).
     fn spawn_conn(&mut self, slot: usize) -> Result<Conn> {
-        let nonce = self.spawn_nonce;
-        self.spawn_nonce += 1;
+        let nonce = SPAWN_NONCE.fetch_add(1, Ordering::Relaxed); // Relaxed: only uniqueness matters, no data is published through it.
         let path = std::env::temp_dir().join(format!(
             "kalman-cluster-{}-{slot}-{nonce}.sock",
             std::process::id()

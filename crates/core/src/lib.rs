@@ -50,18 +50,15 @@ mod backend;
 mod factor;
 mod plan;
 mod rfactor;
-mod scan;
 mod selinv;
 mod smoother;
 
 pub use backend::{
-    backend_dispatch_counts, record_backend_dispatch, record_backend_fallback,
-    register_backend_dispatch_gauges, resolve_backend, scan_supports_dims, BackendKind,
-    BackendPolicy, PhaseProfile, SmootherBackend, AUTO_MIN_SAMPLES, AUTO_RTS_MAX_WINDOW,
+    backend_dispatch_counts, record_backend_dispatch, register_backend_dispatch_gauges,
+    BackendPolicy,
 };
 pub use factor::{factor_odd_even, factor_odd_even_into, factor_odd_even_owned, FactorScratch};
 pub use plan::{signature_of_dims, PlanCache, PlanSchedule, SmoothPlan};
 pub use rfactor::{OddEvenR, RRow, SolveScratch};
-pub use scan::{ScanLevel, ScanSchedule};
 pub use selinv::{selinv_diag, selinv_diag_into, selinv_diag_into_with, SelinvScratch};
 pub use smoother::{odd_even_smooth, OddEvenOptions};

@@ -12,7 +12,7 @@ pub struct LuFactor {
     /// Row permutation as an `n × 1` column of exact small integers: row `i`
     /// of the factored matrix is row `perm[i]` of `A`.  Stored in a [`Matrix`]
     /// rather than a `Vec<usize>` so the pivots cycle through the workspace
-    /// pool like every other buffer — the associative-scan backend factors
+    /// pool like every other buffer — the associative-scan smoother factors
     /// two of these per element combine in its steady state, which must stay
     /// allocation-free.
     perm: Matrix,

@@ -2,8 +2,7 @@
 //!
 //! The paper's C implementation uses Intel Threading Building Blocks: a
 //! work-stealing scheduler plus `tbb::parallel_for` (with an explicit *block
-//! size* — the number of iterations executed sequentially per task) and
-//! `tbb::parallel_scan` (a generic two-pass parallel prefix scan).  This
+//! size* — the number of iterations executed sequentially per task).  This
 //! crate reproduces that layer on top of [rayon], whose Cilk-lineage
 //! work-stealing scheduler offers the same theoretical guarantees the paper
 //! cites, and adds the *compiled sequential twin* the paper benchmarks
@@ -15,12 +14,11 @@
 //! # Example
 //!
 //! ```
-//! use kalman_par::{ExecPolicy, for_each_mut, inclusive_scan_in_place};
+//! use kalman_par::{ExecPolicy, for_each_mut};
 //!
 //! let mut v: Vec<u64> = (1..=100).collect();
 //! for_each_mut(ExecPolicy::par(), &mut v, |_, x| *x *= 2);
-//! inclusive_scan_in_place(ExecPolicy::par(), &mut v, |a, b| a + b);
-//! assert_eq!(v[99], 100 * 101); // 2 * (1 + ... + 100)
+//! assert_eq!(v.iter().sum::<u64>(), 100 * 101); // 2 * (1 + ... + 100)
 //! ```
 
 #![warn(missing_docs)]
@@ -28,10 +26,8 @@
 
 mod pfor;
 mod policy;
-mod scan;
 
 pub use pfor::{for_each_index, for_each_mut, map_collect, map_collect_into};
 pub use policy::{
     available_parallelism, current_pool_threads, run_with_threads, ExecPolicy, DEFAULT_GRAIN,
 };
-pub use scan::{inclusive_scan_in_place, suffix_scan_in_place};

@@ -1,81 +1,11 @@
 //! Property tests for the parallel primitives: every parallel execution must
-//! match its sequential twin exactly (for order-preserving primitives) or up
-//! to re-association (for scans of exactly-associative operations).
+//! match its sequential twin exactly.
 
-use kalman_par::{
-    for_each_mut, inclusive_scan_in_place, map_collect, suffix_scan_in_place, ExecPolicy,
-};
+use kalman_par::{for_each_mut, map_collect, ExecPolicy};
 use proptest::prelude::*;
-
-/// 2×2 integer matrices mod a prime: an exactly associative, non-commutative
-/// monoid, so parallel and sequential scans must agree *bitwise*.
-const P: i64 = 1_000_003;
-
-fn matmul2(a: &[i64; 4], b: &[i64; 4]) -> [i64; 4] {
-    [
-        (a[0] * b[0] + a[1] * b[2]) % P,
-        (a[0] * b[1] + a[1] * b[3]) % P,
-        (a[2] * b[0] + a[3] * b[2]) % P,
-        (a[2] * b[1] + a[3] * b[3]) % P,
-    ]
-}
-
-fn mat_strategy() -> impl Strategy<Value = [i64; 4]> {
-    [0..P, 0..P, 0..P, 0..P]
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn prefix_scan_matches_sequential(
-        items in proptest::collection::vec(mat_strategy(), 0..400),
-        grain in 1usize..64,
-    ) {
-        let mut seq = items.clone();
-        inclusive_scan_in_place(ExecPolicy::Seq, &mut seq, matmul2);
-        let mut par = items.clone();
-        inclusive_scan_in_place(ExecPolicy::par_with_grain(grain), &mut par, matmul2);
-        prop_assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn suffix_scan_matches_sequential(
-        items in proptest::collection::vec(mat_strategy(), 0..400),
-        grain in 1usize..64,
-    ) {
-        let mut seq = items.clone();
-        suffix_scan_in_place(ExecPolicy::Seq, &mut seq, matmul2);
-        let mut par = items.clone();
-        suffix_scan_in_place(ExecPolicy::par_with_grain(grain), &mut par, matmul2);
-        prop_assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn prefix_scan_equals_naive_fold(
-        items in proptest::collection::vec(mat_strategy(), 1..100),
-    ) {
-        let mut scanned = items.clone();
-        inclusive_scan_in_place(ExecPolicy::par_with_grain(3), &mut scanned, matmul2);
-        let mut acc = items[0];
-        for (i, item) in items.iter().enumerate().skip(1) {
-            acc = matmul2(&acc, item);
-            prop_assert_eq!(scanned[i], acc, "mismatch at {}", i);
-        }
-    }
-
-    #[test]
-    fn suffix_scan_equals_naive_fold(
-        items in proptest::collection::vec(mat_strategy(), 1..100),
-    ) {
-        let mut scanned = items.clone();
-        suffix_scan_in_place(ExecPolicy::par_with_grain(5), &mut scanned, matmul2);
-        let mut acc = items[items.len() - 1];
-        for i in (0..items.len() - 1).rev() {
-            acc = matmul2(&items[i], &acc);
-            prop_assert_eq!(scanned[i], acc, "mismatch at {}", i);
-        }
-    }
 
     #[test]
     fn for_each_mut_order_independent(

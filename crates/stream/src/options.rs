@@ -90,12 +90,9 @@ pub struct StreamOptions {
     /// a full window.  Disabled by pooled streams, whose flushes are
     /// batched by [`crate::SmootherPool::poll`].
     pub auto_flush: bool,
-    /// Which smoothing backend executes each window flush.  The default is
-    /// read from the `KALMAN_BACKEND` environment variable (`odd-even` when
-    /// unset) so a whole test or serving run flips backends without code
-    /// changes.  Windows a requested backend cannot structurally or
-    /// numerically handle fall back to the odd-even plan — see
-    /// DESIGN.md §"Backend trait + dispatch".
+    /// The smoother that executes each window flush.  Its only value is
+    /// [`BackendPolicy::OddEven`]; the field is kept so code that sets it
+    /// keeps compiling.
     pub backend: BackendPolicy,
 }
 
@@ -108,7 +105,7 @@ impl Default for StreamOptions {
             covariances: false,
             policy: ExecPolicy::par(),
             auto_flush: true,
-            backend: BackendPolicy::from_env(),
+            backend: BackendPolicy::OddEven,
         }
     }
 }

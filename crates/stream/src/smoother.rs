@@ -1,16 +1,14 @@
 //! The streaming fixed-lag smoother.
 
 use crate::{Checkpoint, FinalizedStep, LagPolicy, StreamOptions, WindowSnapshot};
-use kalman_associative::{ScanOptions, ScanPlan};
 use kalman_dense::Matrix;
 use kalman_model::{
     whiten_window, whiten_window_into, Evolution, InfoHead, KalmanError, LinearStep, Observation,
     Prior, Result, Smoothed, StreamEvent, WhitenedEvo, WhitenedStep,
 };
 use kalman_odd_even::{
-    factor_odd_even_owned, record_backend_dispatch, record_backend_fallback,
-    register_backend_dispatch_gauges, resolve_backend, selinv_diag, BackendKind, BackendPolicy,
-    OddEvenOptions, PhaseProfile, PlanCache, SmoothPlan,
+    factor_odd_even_owned, record_backend_dispatch, register_backend_dispatch_gauges, selinv_diag,
+    OddEvenOptions, PlanCache, SmoothPlan,
 };
 
 /// Upper bound on the window plans one stream keeps warm (see
@@ -20,75 +18,20 @@ use kalman_odd_even::{
 /// least-recently-used plan is repurposed in place.
 const MAX_STREAM_PLANS: usize = 8;
 
-/// One warm window plan of whichever backend the dispatcher resolved:
-/// the odd-even QR plan or the associative-scan plan (which serves both
-/// the `Scan` tree and the `SequentialRts` fold, per its options).
-#[derive(Debug)]
-enum AnyPlan {
-    OddEven(SmoothPlan),
-    Scan(ScanPlan),
-}
-
-impl AnyPlan {
-    fn kind(&self) -> BackendKind {
-        match self {
-            AnyPlan::OddEven(_) => BackendKind::OddEven,
-            AnyPlan::Scan(p) => p.kind(),
-        }
-    }
-
-    fn dims(&self) -> &[usize] {
-        match self {
-            AnyPlan::OddEven(p) => p.dims(),
-            AnyPlan::Scan(p) => p.dims(),
-        }
-    }
-
-    fn signature(&self) -> u64 {
-        match self {
-            AnyPlan::OddEven(p) => p.signature(),
-            AnyPlan::Scan(p) => p.signature(),
-        }
-    }
-
-    fn execute(&mut self, steps: &mut Vec<WhitenedStep>) -> Result<()> {
-        match self {
-            AnyPlan::OddEven(p) => p.execute(steps),
-            AnyPlan::Scan(p) => p.execute(steps),
-        }
-    }
-
-    fn solve_into(&mut self, means: &mut Vec<Vec<f64>>) -> Result<()> {
-        match self {
-            AnyPlan::OddEven(p) => p.solve_into(means),
-            AnyPlan::Scan(p) => p.solve_into(means),
-        }
-    }
-
-    fn selinv_into(&mut self, covs: &mut Vec<Matrix>) -> Result<()> {
-        match self {
-            AnyPlan::OddEven(p) => p.selinv_into(covs),
-            AnyPlan::Scan(p) => p.selinv_into(covs),
-        }
-    }
-}
-
 /// Per-stream reusable storage for the flush pipeline: the whitened window,
-/// the cached window plans (symbolic schedule + numeric scratch, of either
-/// backend), and the solved estimates all live here between flushes.  A
-/// plan is built only for a `(backend, window shape)` pair the stream does
-/// not have warm — up to [`MAX_STREAM_PLANS`] pairs stay cached, most
+/// the cached [`SmoothPlan`]s (symbolic schedule + numeric scratch + the
+/// odd-even factor), and the solved estimates all live here between
+/// flushes.  A plan is built only for a window *shape* the stream does not
+/// have warm — up to [`MAX_STREAM_PLANS`] shapes stay cached, most
 /// recently used first — so a steady-state flush, including serving
 /// regimes where the window length oscillates among a few values,
 /// re-executes a ready-made plan and performs **zero heap allocations**:
 /// containers keep their capacity and matrices cycle through the
 /// `kalman-dense` workspace pool.  Verified by the `alloc_steady_state`
-/// integration test (standalone, pooled, saturated-sharded, and
-/// scan-backend cases).
+/// integration test (standalone, pooled, and saturated-sharded cases).
 ///
 /// The scratch carries no results between flushes; `Clone` intentionally
-/// yields a fresh (cold) scratch, so cloned streams re-warm independently
-/// (and re-measure their backend phase profile).
+/// yields a fresh (cold) scratch, so cloned streams re-warm independently.
 #[derive(Debug, Default)]
 struct FlushScratch {
     steps: Vec<WhitenedStep>,
@@ -96,12 +39,9 @@ struct FlushScratch {
     dims: Vec<usize>,
     /// Warm window plans, most recently used first (`plans[0]` is the
     /// plan of the latest flush); empty until the first flush.
-    plans: Vec<AnyPlan>,
+    plans: Vec<SmoothPlan>,
     means: Vec<Vec<f64>>,
     covs: Vec<Matrix>,
-    /// Measured per-backend flush times feeding `BackendPolicy::Auto`
-    /// (sliding medians; see [`PhaseProfile`]).
-    profile: PhaseProfile,
     /// Previous flush's estimates (`LagPolicy::Auto` only): the revisions
     /// the next re-smooth applies to these measure the information-decay
     /// rate.
@@ -116,51 +56,19 @@ impl Clone for FlushScratch {
     }
 }
 
-/// Builds a fresh plan of the requested backend (through the shared
-/// `cache` when pooled, from scratch otherwise).
-fn build_plan(
-    kind: BackendKind,
-    dims: &[usize],
-    opts: OddEvenOptions,
-    cache: Option<&mut PlanCache>,
-) -> AnyPlan {
-    match kind {
-        BackendKind::OddEven => AnyPlan::OddEven(match cache {
-            Some(c) => SmoothPlan::new(c.get_or_build(dims), opts),
-            None => SmoothPlan::for_dims(dims, opts),
-        }),
-        scan_kind => {
-            let sopts = ScanOptions {
-                policy: opts.policy,
-                fold: scan_kind == BackendKind::SequentialRts,
-            };
-            AnyPlan::Scan(match cache {
-                Some(c) => ScanPlan::new(c.get_or_build_scan(dims), sopts),
-                None => ScanPlan::for_dims(dims, sopts),
-            })
-        }
-    }
-}
-
-/// Returns the warm plan for `(kind, dims)`, moved to the front of the MRU
-/// list — building one on miss (through the shared `cache` when pooled,
-/// from scratch otherwise) and, at capacity, repurposing the
-/// least-recently-used plan *in place* when it already serves the right
-/// backend, so its containers keep their capacity (a cross-backend
-/// eviction rebuilds the slot instead).  Increments `plan_builds` exactly
-/// when a plan had to be (re)built.
+/// Returns the warm plan for `dims`, moved to the front of the MRU list —
+/// building one on miss (through the shared `cache` when pooled, from
+/// scratch otherwise) and, at capacity, repurposing the least-recently-used
+/// plan *in place* so its containers keep their capacity.  Increments
+/// `plan_builds` exactly when a plan had to be (re)built.
 fn select_plan<'a>(
-    plans: &'a mut Vec<AnyPlan>,
-    kind: BackendKind,
+    plans: &'a mut Vec<SmoothPlan>,
     dims: &[usize],
     opts: OddEvenOptions,
     plan_builds: &mut u64,
     mut cache: Option<&mut PlanCache>,
-) -> &'a mut AnyPlan {
-    if let Some(i) = plans
-        .iter()
-        .position(|p| p.kind() == kind && p.dims() == dims)
-    {
+) -> &'a mut SmoothPlan {
+    if let Some(i) = plans.iter().position(|p| p.dims() == dims) {
         plans[..=i].rotate_right(1);
         return &mut plans[0];
     }
@@ -169,28 +77,18 @@ fn select_plan<'a>(
     if plans.len() >= MAX_STREAM_PLANS {
         // lint: allow(panic, "infallible: len >= MAX_STREAM_PLANS >= 1, so last_mut() is Some")
         let evictee = plans.last_mut().expect("at capacity, non-empty");
-        match (&mut *evictee, kind) {
-            (AnyPlan::OddEven(p), BackendKind::OddEven) => match cache.as_deref_mut() {
-                Some(c) => p.set_schedule(c.get_or_build(dims)),
-                None => {
-                    p.ensure_shape(dims);
-                }
-            },
-            (AnyPlan::Scan(p), BackendKind::Scan | BackendKind::SequentialRts)
-                if p.kind() == kind =>
-            {
-                match cache.as_deref_mut() {
-                    Some(c) => p.set_schedule(c.get_or_build_scan(dims)),
-                    None => {
-                        p.ensure_shape(dims);
-                    }
-                }
+        match cache.as_deref_mut() {
+            Some(c) => evictee.set_schedule(c.get_or_build(dims)),
+            None => {
+                evictee.ensure_shape(dims);
             }
-            (slot, _) => *slot = build_plan(kind, dims, opts, cache),
         }
         plans.rotate_right(1);
     } else {
-        let plan = build_plan(kind, dims, opts, cache);
+        let plan = match cache {
+            Some(c) => SmoothPlan::new(c.get_or_build(dims), opts),
+            None => SmoothPlan::for_dims(dims, opts),
+        };
         plans.insert(0, plan);
     }
     &mut plans[0]
@@ -237,7 +135,7 @@ pub struct StreamingSmoother {
 
 fn check_options(opts: &StreamOptions) -> Result<()> {
     // Every constructor funnels through here, making it the one spot to
-    // hook up the backend-dispatch gauges (Once-guarded, so cheap).
+    // hook up the flush-count gauge (Once-guarded, so cheap).
     register_backend_dispatch_gauges();
     if opts.flush_every == 0 {
         return Err(KalmanError::Stream("flush_every must be at least 1".into()));
@@ -352,24 +250,16 @@ impl StreamingSmoother {
     ///
     /// # Errors
     ///
-    /// [`KalmanError::Stream`] under [`LagPolicy::Auto`] or
-    /// [`BackendPolicy::Auto`]: the adapted lag and the measured backend
-    /// choice are driven by scratch state (previous estimates, phase-time
-    /// medians) that a snapshot cannot capture, so a restored stream could
-    /// adapt differently and break the bitwise contract.  Use a fixed lag
-    /// and a pinned backend for snapshot-based recovery.
+    /// [`KalmanError::Stream`] under [`LagPolicy::Auto`]: the adapted lag
+    /// is driven by scratch state (the previous flush's estimates) that a
+    /// snapshot cannot capture, so a restored auto-lag stream could adapt
+    /// differently and break the bitwise contract.  Use a fixed lag for
+    /// snapshot-based recovery.
     pub fn snapshot(&self) -> Result<WindowSnapshot> {
         if matches!(self.opts.effective_lag_policy(), LagPolicy::Auto { .. }) {
             return Err(KalmanError::Stream(
                 "auto-lag streams cannot be snapshotted: the adapted lag depends on \
                  unsnapshottable scratch state; use a fixed lag"
-                    .into(),
-            ));
-        }
-        if matches!(self.opts.backend, BackendPolicy::Auto) {
-            return Err(KalmanError::Stream(
-                "auto-backend streams cannot be snapshotted: the dispatched backend depends \
-                 on unsnapshottable phase-profile state; pin a backend"
                     .into(),
             ));
         }
@@ -417,11 +307,6 @@ impl StreamingSmoother {
         if matches!(opts.effective_lag_policy(), LagPolicy::Auto { .. }) {
             return Err(KalmanError::Stream(
                 "auto-lag streams cannot be restored from a snapshot; use a fixed lag".into(),
-            ));
-        }
-        if matches!(opts.backend, BackendPolicy::Auto) {
-            return Err(KalmanError::Stream(
-                "auto-backend streams cannot be restored from a snapshot; pin a backend".into(),
             ));
         }
         let n = snapshot.head.state_dim();
@@ -517,7 +402,8 @@ impl StreamingSmoother {
     /// # Errors
     ///
     /// [`KalmanError::InvalidModel`] on dimension mismatches against the
-    /// newest state, plus any flush error (see
+    /// newest state or a non-finite entry in `F`, `H` or `c` (a rejected
+    /// evolution leaves the stream unchanged), plus any flush error (see
     /// [`StreamingSmoother::flush`]).
     pub fn evolve(&mut self, evolution: Evolution) -> Result<Vec<FinalizedStep>> {
         let prev_dim = self.state_dim();
@@ -537,7 +423,9 @@ impl StreamingSmoother {
     ///
     /// # Errors
     ///
-    /// [`KalmanError::InvalidModel`] on dimension mismatches.
+    /// [`KalmanError::InvalidModel`] on dimension mismatches or a
+    /// non-finite entry in `G` or `o`; a rejected observation leaves the
+    /// stream unchanged.
     pub fn observe(&mut self, observation: Observation) -> Result<()> {
         let index = self.base_index + (self.buffer.len() - 1) as u64;
         // lint: allow(panic, "infallible: the constructor seeds one step and flush never drains below one")
@@ -563,6 +451,8 @@ impl StreamingSmoother {
                 observation.dim()
             )));
         }
+        check_finite(observation.g.as_slice(), index, "G")?;
+        check_finite(&observation.o, index, "o")?;
         observation.noise.validate(index as usize)?;
         step.observation = Some(match step.observation.take() {
             None => observation,
@@ -777,20 +667,11 @@ impl StreamingSmoother {
         }
     }
 
-    /// Re-smooths the window through the cached plan: whiten → resolve the
-    /// backend ([`StreamOptions::backend`] + window shape + measured phase
-    /// profile) → (re-plan if the `(backend, shape)` pair is cold) →
-    /// execute → solve → (optionally) SelInv, leaving the estimates in
-    /// `self.scratch.means` / `self.scratch.covs`.
-    ///
-    /// A non-default backend whose execute fails *numerically* (e.g. the
-    /// scan backend on a window whose step-0 rows do not determine the
-    /// state) falls back to the odd-even plan on the same whitened steps —
-    /// the scan plan's execute contract leaves them intact on error — so a
-    /// backend flip never makes a previously-servable stream fail.
+    /// Re-smooths the window through the cached plan: whiten → (re-plan if
+    /// the window shape changed) → execute → solve → (optionally) SelInv,
+    /// leaving the estimates in `self.scratch.means` / `self.scratch.covs`.
     fn smooth_window_scratch(&mut self) -> Result<()> {
         let plan_opts = self.plan_options();
-        let backend = self.opts.backend;
         let Self {
             opts,
             head,
@@ -804,57 +685,19 @@ impl StreamingSmoother {
         scratch
             .dims
             .extend(scratch.steps.iter().map(|s| s.state_dim)); // lint: allow(alloc, "extend into cleared scratch that retains capacity across flushes; amortized, steady-state alloc-free")
-        let kind = resolve_backend(backend, &scratch.dims, &scratch.profile);
-        if kind != BackendKind::OddEven {
-            let plan = select_plan(
-                &mut scratch.plans,
-                kind,
-                &scratch.dims,
-                plan_opts,
-                plan_builds,
-                None,
-            );
-            let started = std::time::Instant::now();
-            match plan.execute(&mut scratch.steps) {
-                Ok(()) => {
-                    plan.solve_into(&mut scratch.means)?;
-                    if opts.covariances {
-                        plan.selinv_into(&mut scratch.covs)?;
-                    }
-                    scratch
-                        .profile
-                        .record(kind, started.elapsed().as_secs_f64());
-                    record_backend_dispatch(kind);
-                    return Ok(());
-                }
-                Err(err) => {
-                    if scratch.steps.len() != scratch.dims.len() {
-                        // Post-execute phase failure: the steps were already
-                        // consumed, so the odd-even plan has nothing to run on.
-                        return Err(err);
-                    }
-                    record_backend_fallback();
-                }
-            }
-        }
         let plan = select_plan(
             &mut scratch.plans,
-            BackendKind::OddEven,
             &scratch.dims,
             plan_opts,
             plan_builds,
             None,
         );
-        let started = std::time::Instant::now();
         plan.execute(&mut scratch.steps)?;
         plan.solve_into(&mut scratch.means)?;
         if opts.covariances {
             plan.selinv_into(&mut scratch.covs)?;
         }
-        scratch
-            .profile
-            .record(BackendKind::OddEven, started.elapsed().as_secs_f64());
-        record_backend_dispatch(BackendKind::OddEven);
+        record_backend_dispatch();
         Ok(())
     }
 
@@ -865,7 +708,6 @@ impl StreamingSmoother {
     /// covers the shape.
     pub(crate) fn prepare_pooled_plan(&mut self, cache: &mut PlanCache) {
         let plan_opts = self.plan_options();
-        let backend = self.opts.backend;
         let Self {
             buffer,
             scratch,
@@ -874,10 +716,8 @@ impl StreamingSmoother {
         } = self;
         scratch.dims.clear();
         scratch.dims.extend(buffer.iter().map(|s| s.state_dim)); // lint: allow(alloc, "extend into cleared scratch that retains capacity across flushes; amortized, steady-state alloc-free")
-        let kind = resolve_backend(backend, &scratch.dims, &scratch.profile);
         select_plan(
             &mut scratch.plans,
-            kind,
             &scratch.dims,
             plan_opts,
             plan_builds,
@@ -974,7 +814,22 @@ fn whiten_evolution(step: &LinearStep, index: usize) -> Result<WhitenedEvo> {
     })
 }
 
-/// Structural validation of an incoming evolution against the newest state.
+/// Rejects an ingested field holding a NaN or infinity, naming the step and
+/// the field: one such value would otherwise poison every estimate of the
+/// window and, through the condensed head, the rest of the stream.
+fn check_finite(values: &[f64], index: u64, field: &str) -> Result<()> {
+    if values.iter().all(|v| v.is_finite()) {
+        Ok(())
+    } else {
+        // lint: allow(alloc, "error path: allocates only when rejecting a non-finite event")
+        Err(KalmanError::InvalidModel(format!(
+            "step {index}: {field} has a non-finite entry"
+        )))
+    }
+}
+
+/// Structural and finiteness validation of an incoming evolution against
+/// the newest state.
 fn check_evolution(evo: &Evolution, prev_dim: usize, index: u64) -> Result<()> {
     if evo.f.cols() != prev_dim {
         return Err(KalmanError::InvalidModel(format!(
@@ -1008,6 +863,11 @@ fn check_evolution(evo: &Evolution, prev_dim: usize, index: u64) -> Result<()> {
             evo.noise.dim()
         )));
     }
+    check_finite(evo.f.as_slice(), index, "F")?;
+    if let Some(h) = &evo.h {
+        check_finite(h.as_slice(), index, "H")?;
+    }
+    check_finite(&evo.c, index, "c")?;
     evo.noise.validate(index as usize)
 }
 
@@ -1026,18 +886,6 @@ mod tests {
             g: Matrix::identity(n),
             o,
             noise: CovarianceSpec::Identity(n),
-        }
-    }
-
-    /// The env-selected backend with `Auto` pinned down to odd-even: used
-    /// by tests asserting deterministic per-flush behavior (exact plan
-    /// build counts, bitwise restore), which Auto's measurement-driven
-    /// probing intentionally does not promise.  Pinned backends (odd-even,
-    /// scan, rts) still flow through from `KALMAN_BACKEND`.
-    fn pinned_backend() -> BackendPolicy {
-        match BackendPolicy::from_env() {
-            BackendPolicy::Auto => BackendPolicy::OddEven,
-            other => other,
         }
     }
 
@@ -1270,7 +1118,6 @@ mod tests {
             lag: 9,
             flush_every: 4,
             covariances: true,
-            backend: pinned_backend(),
             ..StreamOptions::default()
         };
         for cut in [1usize, 13, 27, 40] {
@@ -1332,28 +1179,10 @@ mod tests {
         };
         let stream = StreamingSmoother::new(1, opts).unwrap();
         assert!(matches!(stream.snapshot(), Err(KalmanError::Stream(_))));
-        let fixed_opts = StreamOptions {
-            backend: pinned_backend(),
-            ..StreamOptions::default()
-        };
-        let fixed = StreamingSmoother::new(1, fixed_opts).unwrap();
+        let fixed = StreamingSmoother::new(1, StreamOptions::default()).unwrap();
         let snap = fixed.snapshot().unwrap();
         assert!(matches!(
             StreamingSmoother::restore(snap, opts),
-            Err(KalmanError::Stream(_))
-        ));
-
-        // The measured-backend policy is just as unsnapshottable as the
-        // adaptive lag: dispatch depends on phase-profile scratch state.
-        let auto_backend = StreamOptions {
-            backend: BackendPolicy::Auto,
-            ..StreamOptions::default()
-        };
-        let stream = StreamingSmoother::new(1, auto_backend).unwrap();
-        assert!(matches!(stream.snapshot(), Err(KalmanError::Stream(_))));
-        let snap = fixed.snapshot().unwrap();
-        assert!(matches!(
-            StreamingSmoother::restore(snap, auto_backend),
             Err(KalmanError::Stream(_))
         ));
     }
@@ -1532,7 +1361,6 @@ mod tests {
             flush_every: 3,
             covariances: false,
             policy: ExecPolicy::Seq,
-            backend: pinned_backend(),
             ..StreamOptions::default()
         };
         let mut stream =

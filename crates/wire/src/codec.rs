@@ -370,18 +370,7 @@ pub fn encode_stream_options(w: &mut Writer, opts: &StreamOptions) {
     w.put_u8(opts.covariances as u8);
     encode_exec_policy(w, opts.policy);
     w.put_u8(opts.auto_flush as u8);
-    w.put_u8(match opts.backend {
-        BackendPolicy::OddEven => BACKEND_ODD_EVEN,
-        BackendPolicy::Scan => BACKEND_SCAN,
-        BackendPolicy::SequentialRts => BACKEND_RTS,
-        BackendPolicy::Auto => BACKEND_AUTO,
-    });
 }
-
-const BACKEND_ODD_EVEN: u8 = 0;
-const BACKEND_SCAN: u8 = 1;
-const BACKEND_RTS: u8 = 2;
-const BACKEND_AUTO: u8 = 3;
 
 /// Decodes stream options.
 pub fn decode_stream_options(r: &mut Reader<'_>) -> Result<StreamOptions> {
@@ -405,18 +394,6 @@ pub fn decode_stream_options(r: &mut Reader<'_>) -> Result<StreamOptions> {
     let covariances = decode_bool(r, "covariances flag")?;
     let policy = decode_exec_policy(r)?;
     let auto_flush = decode_bool(r, "auto-flush flag")?;
-    let backend = match r.get_u8()? {
-        BACKEND_ODD_EVEN => BackendPolicy::OddEven,
-        BACKEND_SCAN => BackendPolicy::Scan,
-        BACKEND_RTS => BackendPolicy::SequentialRts,
-        BACKEND_AUTO => BackendPolicy::Auto,
-        tag => {
-            return Err(WireError::UnknownTag {
-                what: "backend policy",
-                tag,
-            })
-        }
-    };
     Ok(StreamOptions {
         lag,
         lag_policy,
@@ -424,7 +401,7 @@ pub fn decode_stream_options(r: &mut Reader<'_>) -> Result<StreamOptions> {
         covariances,
         policy,
         auto_flush,
-        backend,
+        backend: BackendPolicy::OddEven,
     })
 }
 
@@ -625,7 +602,7 @@ mod tests {
             covariances: true,
             policy: ExecPolicy::Par { grain: 5 },
             auto_flush: false,
-            backend: BackendPolicy::Scan,
+            backend: BackendPolicy::OddEven,
         };
         let mut w = Writer::new();
         encode_stream_options(&mut w, &opts);
@@ -638,20 +615,6 @@ mod tests {
         assert!(back.covariances);
         assert_eq!(back.policy, ExecPolicy::Par { grain: 5 });
         assert!(!back.auto_flush);
-        assert_eq!(back.backend, BackendPolicy::Scan);
-
-        // Every backend tag survives the trip (the options byte is the
-        // protocol-version-2 addition).
-        for backend in [
-            BackendPolicy::OddEven,
-            BackendPolicy::SequentialRts,
-            BackendPolicy::Auto,
-        ] {
-            let mut w = Writer::new();
-            encode_stream_options(&mut w, &StreamOptions { backend, ..opts });
-            let mut r = Reader::new(w.as_slice());
-            assert_eq!(decode_stream_options(&mut r).unwrap().backend, backend);
-        }
     }
 
     #[test]

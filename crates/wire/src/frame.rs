@@ -24,9 +24,10 @@ use crate::error::{Result, WireError};
 /// Frame magic: the first four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"KLMW";
 
-/// Protocol version this build encodes and accepts.  Version 2 added the
-/// backend-policy byte to the stream-options payload.
-pub const VERSION: u16 = 2;
+/// Protocol version this build encodes and accepts.  Version 3 dropped
+/// the backend-policy byte that version 2 carried in the stream-options
+/// payload.
+pub const VERSION: u16 = 3;
 
 /// Size of the fixed frame header.
 pub const HEADER_LEN: usize = 16;

@@ -54,7 +54,7 @@ fn build_events(n: usize, cycles: usize, per_cycle: usize) -> Vec<(Evolution, Ob
     events
 }
 
-fn run_steady_state(covariances: bool, backend: BackendPolicy) {
+fn run_steady_state(covariances: bool) {
     let _guard = EXCLUSIVE.lock().unwrap_or_else(|p| p.into_inner());
     let n = 4;
     let lag = 6;
@@ -65,7 +65,6 @@ fn run_steady_state(covariances: bool, backend: BackendPolicy) {
         covariances,
         policy: ExecPolicy::Seq,
         auto_flush: false,
-        backend,
         ..StreamOptions::default()
     };
     let mut stream =
@@ -138,29 +137,12 @@ fn run_steady_state(covariances: bool, backend: BackendPolicy) {
 
 #[test]
 fn streaming_flush_is_allocation_free_after_warmup() {
-    run_steady_state(false, BackendPolicy::from_env());
+    run_steady_state(false);
 }
 
 #[test]
 fn streaming_flush_with_covariances_is_allocation_free_after_warmup() {
-    run_steady_state(true, BackendPolicy::from_env());
-}
-
-/// The associative-scan backend makes the same zero-allocation promise as
-/// the odd-even plan: once its element/sweep scratch (and the pooled LU
-/// pivot columns inside every combine) are warm, a steady-state flush
-/// through a `ScanPlan` touches the heap not at all.
-#[test]
-fn scan_streaming_flush_is_allocation_free_after_warmup() {
-    run_steady_state(false, BackendPolicy::Scan);
-}
-
-/// Same promise with the SelInv-equivalent covariance emission on (the
-/// scan backend computes covariances inherently; `selinv_into` only copies
-/// them out through reused containers).
-#[test]
-fn scan_streaming_flush_with_covariances_is_allocation_free_after_warmup() {
-    run_steady_state(true, BackendPolicy::Scan);
+    run_steady_state(true);
 }
 
 /// Batch-scale plan reuse: a `SmoothPlan` built once for a `k = 20 000`

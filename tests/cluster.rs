@@ -202,6 +202,27 @@ fn cluster_results_are_bitwise_equal_to_in_process() {
     }
 }
 
+/// Supervisors constructed at the same moment from several threads of one
+/// process must each keep their own workers: worker socket paths carry a
+/// process-wide nonce, so no supervisor binds (and removes) a path another
+/// one is listening on.
+#[test]
+fn concurrent_supervisors_in_one_process_keep_their_workers() {
+    let models = test_models(2, 24);
+    let reference = run_inprocess(&models);
+    let start = std::sync::Barrier::new(4);
+    std::thread::scope(|s| {
+        for i in 0..4 {
+            let (models, reference, start) = (&models, &reference, &start);
+            s.spawn(move || {
+                start.wait();
+                let (got, _) = run_cluster(models, 1, FaultPlan::none(), |_| {});
+                assert_bitwise_equal(&got, reference, &format!("supervisor {i}"));
+            });
+        }
+    });
+}
+
 /// kill -9 mid-load: the dead worker restarts from its last acked
 /// snapshot, replays the logged suffix, and every finalized step is
 /// delivered exactly once — bitwise equal to the undisturbed run.

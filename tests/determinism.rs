@@ -192,65 +192,6 @@ fn associative_scan_is_bitwise_equal_to_sequential() {
     }
 }
 
-/// A stream served on the scan backend (`BackendPolicy::Scan`) flushes
-/// windows through the same plan across policies; its finalized estimates
-/// must be bitwise invariant to the within-window execution policy, thread
-/// count, and grain.
-#[test]
-fn scan_backend_stream_flushes_are_bitwise_equal_across_policies() {
-    let mut rng = ChaCha8Rng::seed_from_u64(4600);
-    let model = generators::paper_benchmark(&mut rng, 4, 320, true);
-    let drive = |policy: ExecPolicy| -> Vec<FinalizedStep> {
-        let opts = StreamOptions {
-            lag: 16,
-            flush_every: 4,
-            covariances: true,
-            policy,
-            backend: BackendPolicy::Scan,
-            ..StreamOptions::default()
-        };
-        let p = model.prior.as_ref().unwrap();
-        let mut stream =
-            StreamingSmoother::with_prior(p.mean.clone(), p.cov.clone(), opts).unwrap();
-        let mut out = Vec::new();
-        for (i, step) in model.steps.iter().enumerate() {
-            if i > 0 {
-                out.extend(stream.evolve(step.evolution.clone().unwrap()).unwrap());
-            }
-            if let Some(obs) = &step.observation {
-                stream.observe(obs.clone()).unwrap();
-            }
-        }
-        out.extend(stream.finish().unwrap().0);
-        out
-    };
-    let reference = drive(ExecPolicy::Seq);
-    assert_eq!(reference.len(), model.num_states());
-    for threads in THREADS {
-        for grain in GRAINS {
-            let got = run_with_threads(threads, || drive(ExecPolicy::par_with_grain(grain)));
-            assert_eq!(got.len(), reference.len());
-            for (a, b) in got.iter().zip(&reference) {
-                assert_eq!(a.index, b.index);
-                assert!(
-                    a.mean == b.mean,
-                    "scan stream state {} means differ bitwise under threads={threads} grain={grain}",
-                    a.index
-                );
-                let (ca, cb) = (
-                    a.covariance.as_ref().unwrap(),
-                    b.covariance.as_ref().unwrap(),
-                );
-                assert!(
-                    ca.max_abs_diff(cb) == 0.0,
-                    "scan stream state {} covariances differ bitwise under threads={threads} grain={grain}",
-                    a.index
-                );
-            }
-        }
-    }
-}
-
 /// Drives `models` through a pool under `policy`, returning each stream's
 /// finalized means in order.
 fn drive_pool(models: &[LinearModel], policy: ExecPolicy) -> Vec<Vec<Vec<f64>>> {

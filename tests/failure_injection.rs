@@ -246,3 +246,295 @@ mod wire_faults {
         assert!(matches!(first_error(&frame), WireError::BadMagic(_)));
     }
 }
+
+// ---- non-finite ingest ------------------------------------------------
+//
+// A NaN or infinity in an ingested event is rejected at the stream's one
+// ingestion choke point (`observe`/`evolve`) with a typed error naming the
+// step and the field, and the stream is left untouched.  Every serving
+// layer must surface that error, and the stream must go on to emit output
+// bitwise equal to a run that never saw the bad events.
+
+/// Worker entry point for the cluster case below: the supervisor re-execs
+/// this test binary with `cluster_worker_entry --exact` and the socket
+/// environment variable set.  Without the variable this is a no-op pass.
+#[test]
+fn cluster_worker_entry() {
+    kalman::cluster::worker_entry_from_env();
+}
+
+mod non_finite_ingest {
+    use super::rng;
+    use kalman::cluster::{ClusterConfig, StreamInit, StreamSpec, Supervisor};
+    use kalman::dense::Matrix;
+    use kalman::model::{events_of, generators, LinearModel, StreamEvent};
+    use kalman::prelude::*;
+    use kalman::serve::{ServeConfig, ShardedPool};
+
+    /// The step every bad event targets.
+    const BAD_STEP: usize = 5;
+
+    /// A 40-step, n = 2 stream with a prior.
+    fn model() -> LinearModel {
+        generators::paper_benchmark(&mut rng(4242), 2, 39, true)
+    }
+
+    fn opts() -> StreamOptions {
+        StreamOptions {
+            lag: 4,
+            flush_every: 2,
+            covariances: true,
+            policy: ExecPolicy::Seq,
+            ..StreamOptions::default()
+        }
+    }
+
+    fn stream_for(model: &LinearModel) -> StreamingSmoother {
+        let p = model.prior.as_ref().unwrap();
+        StreamingSmoother::with_prior(p.mean.clone(), p.cov.clone(), opts()).unwrap()
+    }
+
+    fn poisoned(m: &Matrix) -> Matrix {
+        let mut m = m.clone();
+        m.as_mut_slice()[1] = f64::NAN;
+        m
+    }
+
+    /// Bad evolutions (`F`, `H`, `c`) and the field each one must name.
+    fn bad_evolutions() -> Vec<(StreamEvent, &'static str)> {
+        let good = Evolution::random_walk(2);
+        vec![
+            (
+                StreamEvent::Evolve(Evolution {
+                    f: poisoned(&good.f),
+                    ..good.clone()
+                }),
+                "F",
+            ),
+            (
+                StreamEvent::Evolve(Evolution {
+                    h: Some(poisoned(&Matrix::identity(2))),
+                    ..good.clone()
+                }),
+                "H",
+            ),
+            (
+                StreamEvent::Evolve(Evolution {
+                    c: vec![f64::INFINITY, 0.0],
+                    ..good
+                }),
+                "c",
+            ),
+        ]
+    }
+
+    /// Bad observations (`o`, `G`) and the field each one must name.
+    fn bad_observations() -> Vec<(StreamEvent, &'static str)> {
+        let good = Observation {
+            g: Matrix::identity(2),
+            o: vec![0.0, 0.0],
+            noise: CovarianceSpec::Identity(2),
+        };
+        vec![
+            (
+                StreamEvent::Observe(Observation {
+                    o: vec![f64::NAN, f64::NAN],
+                    ..good.clone()
+                }),
+                "o",
+            ),
+            (
+                StreamEvent::Observe(Observation {
+                    g: poisoned(&good.g),
+                    ..good
+                }),
+                "G",
+            ),
+        ]
+    }
+
+    /// The model's events, with every bad event spliced in at
+    /// [`BAD_STEP`] when `poison` is set (bad evolutions just before the
+    /// real evolution into that step, bad observations just after it).
+    /// Returns the events and the fields the bad ones must be named by.
+    fn schedule(poison: bool) -> (Vec<StreamEvent>, Vec<&'static str>) {
+        let mut events = Vec::new();
+        let mut fields = Vec::new();
+        let mut state = 0;
+        for event in events_of(&model()) {
+            let is_evolve = matches!(event, StreamEvent::Evolve(_));
+            if is_evolve {
+                state += 1;
+                if poison && state == BAD_STEP {
+                    for (bad, field) in bad_evolutions() {
+                        events.push(bad);
+                        fields.push(field);
+                    }
+                }
+            }
+            events.push(event);
+            if poison && is_evolve && state == BAD_STEP {
+                for (bad, field) in bad_observations() {
+                    events.push(bad);
+                    fields.push(field);
+                }
+            }
+        }
+        (events, fields)
+    }
+
+    /// Checks the reported errors name [`BAD_STEP`] and each bad field, in
+    /// order.
+    fn assert_reported(layer: &str, errors: &[String], fields: &[&str]) {
+        assert_eq!(errors.len(), fields.len(), "{layer}: errors {errors:?}");
+        for (msg, field) in errors.iter().zip(fields) {
+            assert!(
+                msg.contains(&format!("step {BAD_STEP}: {field} has a non-finite entry")),
+                "{layer}: error {msg:?} does not name step {BAD_STEP} and field {field}"
+            );
+        }
+    }
+
+    fn assert_bitwise(layer: &str, got: &[FinalizedStep], want: &[FinalizedStep]) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(got.len(), want.len(), "{layer}: finalized step count");
+        for (a, b) in got.iter().zip(want) {
+            assert_eq!(a.index, b.index, "{layer}: ordering");
+            assert_eq!(bits(&a.mean), bits(&b.mean), "{layer}: mean {}", a.index);
+            let (ca, cb) = (a.covariance.as_ref(), b.covariance.as_ref());
+            assert_eq!(
+                bits(ca.unwrap().as_slice()),
+                bits(cb.unwrap().as_slice()),
+                "{layer}: covariance {}",
+                a.index
+            );
+        }
+    }
+
+    /// Runs the schedule through one layer (`run` returns the finalized
+    /// steps and the reported error messages) clean and poisoned, and
+    /// checks the poisoned run reports every bad event and otherwise
+    /// matches the clean one bitwise.
+    fn check_layer(layer: &str, run: impl Fn(&[StreamEvent]) -> (Vec<FinalizedStep>, Vec<String>)) {
+        let (clean_events, _) = schedule(false);
+        let (bad_events, fields) = schedule(true);
+        let (clean, clean_errors) = run(&clean_events);
+        assert!(clean_errors.is_empty(), "{layer}: {clean_errors:?}");
+        assert_eq!(
+            clean.len(),
+            model().num_states(),
+            "{layer}: every step finalized"
+        );
+        assert!(clean.iter().all(|f| f.mean.iter().all(|x| x.is_finite())));
+        let (got, errors) = run(&bad_events);
+        assert_reported(layer, &errors, &fields);
+        assert_bitwise(layer, &got, &clean);
+    }
+
+    #[test]
+    fn stream_rejects_non_finite_events_and_stays_untouched() {
+        check_layer("stream", |events| {
+            let mut stream = stream_for(&model());
+            let (mut out, mut errors) = (Vec::new(), Vec::new());
+            for event in events {
+                let next = stream.next_index();
+                let buffered = stream.buffered_len();
+                match stream.ingest(event.clone()) {
+                    Ok(steps) => out.extend(steps),
+                    Err(e) => {
+                        assert!(matches!(e, KalmanError::InvalidModel(_)), "{e:?}");
+                        assert_eq!(stream.next_index(), next);
+                        assert_eq!(stream.buffered_len(), buffered);
+                        errors.push(e.to_string());
+                    }
+                }
+            }
+            out.extend(stream.finish().unwrap().0);
+            (out, errors)
+        });
+    }
+
+    #[test]
+    fn smoother_pool_reports_non_finite_events() {
+        check_layer("SmootherPool", |events| {
+            let mut pool = SmootherPool::new(ExecPolicy::Seq);
+            let id = pool.insert(stream_for(&model()));
+            let (mut out, mut errors) = (Vec::new(), Vec::new());
+            for event in events {
+                if let Err(e) = pool.ingest(id, event.clone()) {
+                    errors.push(e.to_string());
+                }
+                for (_, steps) in pool.poll() {
+                    out.extend(steps.unwrap());
+                }
+            }
+            out.extend(pool.finish(id).unwrap().0);
+            (out, errors)
+        });
+    }
+
+    #[test]
+    fn sharded_pool_reports_non_finite_events() {
+        check_layer("ShardedPool", |events| {
+            let (mut pool, mut ingress) = ShardedPool::new(ServeConfig {
+                shards: 2,
+                queue_capacity: 8,
+                policy: ExecPolicy::Seq,
+            });
+            pool.insert(7, stream_for(&model())).unwrap();
+            let (mut out, mut errors) = (Vec::new(), Vec::new());
+            for event in events {
+                ingress.try_submit(7, event.clone()).unwrap();
+                pool.drain();
+                errors.extend(pool.last_errors().map(|(_, e)| e.to_string()));
+                for (_, entry) in pool.outputs() {
+                    out.extend(entry.result().unwrap().iter().cloned());
+                }
+            }
+            out.extend(pool.finish(7).unwrap().0);
+            (out, errors)
+        });
+    }
+
+    #[test]
+    fn cluster_reports_non_finite_events() {
+        check_layer("cluster", |events| {
+            let mut sup = Supervisor::new(ClusterConfig {
+                workers: 1,
+                ..ClusterConfig::default()
+            })
+            .unwrap();
+            let p = model().prior.unwrap();
+            let spec = StreamSpec {
+                init: StreamInit::WithPrior {
+                    mean: p.mean,
+                    cov: p.cov,
+                },
+                opts: StreamOptions {
+                    auto_flush: false,
+                    ..opts()
+                },
+            };
+            sup.insert(7, spec).unwrap();
+            let mut out = Vec::new();
+            for event in events {
+                match event.clone() {
+                    StreamEvent::Evolve(evo) => sup.evolve(7, evo).unwrap(),
+                    StreamEvent::Observe(obs) => sup.observe(7, obs).unwrap(),
+                }
+                sup.poll().unwrap();
+                for (_, steps) in sup.take_outputs() {
+                    out.extend(steps);
+                }
+            }
+            out.extend(sup.finish(7).unwrap().0);
+            let errors = sup
+                .take_stream_errors()
+                .into_iter()
+                .map(|(_, m)| m)
+                .collect();
+            sup.shutdown();
+            (out, errors)
+        });
+    }
+}
