@@ -12,17 +12,17 @@
 //!   (`H_i = I`, square `F_i`);
 //! * states and covariances are computed *together* — there is no cheaper
 //!   no-covariance variant;
-//! * can handle singular input covariances (like RTS), but nothing is known
-//!   about its numerical stability, whereas the QR smoothers are
-//!   conditionally backward stable.
+//! * like every smoother here, it accepts only SPD noise covariances
+//!   (`LinearModel::validate` rejects singular or indefinite ones), and
+//!   nothing is known about its numerical stability, whereas the QR
+//!   smoothers are conditionally backward stable.
 //!
-//! The smoother runs on a plan/execute engine: [`ScanPlan`] executes a
-//! symbolic [`ScanSchedule`] against whitened step data
-//! with plan-owned scratch.  Its fixed Brent–Kung combine tree makes
-//! `Seq ≡ Par` **bitwise**.  [`associative_smooth`] is a thin one-shot
-//! wrapper over a transient plan.  This crate is the batch paper baseline
-//! (`fig2`); the streaming and serving layers run only the odd-even
-//! smoother, which is faster on every shape they serve.
+//! [`associative_smooth`] builds the elements straight from the model
+//! ([`FilterElement::for_state`], [`SmoothElement::for_state`]) and runs
+//! both sweeps over one fixed Brent–Kung combine tree, so `Seq ≡ Par`
+//! **bitwise**.  This crate is the batch paper baseline (`fig2`); the
+//! streaming and serving layers run only the odd-even smoother, which is
+//! faster on every shape they serve.
 //!
 //! # Example
 //!
@@ -41,11 +41,8 @@
 #![forbid(unsafe_code)]
 
 mod elements;
-mod plan;
 mod scan;
 mod smoother;
 
 pub use elements::{FilterElement, SmoothElement};
-pub use plan::{ScanOptions, ScanPlan};
-pub use scan::{ScanLevel, ScanSchedule};
 pub use smoother::{associative_smooth, AssociativeOptions};

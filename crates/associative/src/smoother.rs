@@ -1,7 +1,9 @@
 //! The two-scan smoother driver.
 
+use crate::elements::{FilterElement, SmoothElement};
+use crate::scan::tree_levels;
 use kalman_model::{KalmanError, LinearModel, Result, Smoothed};
-use kalman_par::ExecPolicy;
+use kalman_par::{map_collect, ExecPolicy};
 
 /// Options for the associative smoother.
 #[derive(Debug, Clone, Copy)]
@@ -34,14 +36,12 @@ fn check_supported(model: &LinearModel) -> Result<()> {
 
 /// Smooths `model` with the associative parallel-scan algorithm.
 ///
-/// A thin wrapper over the planned path: builds a transient
-/// [`crate::ScanPlan`] for the model's shape and executes it once — phase 1
-/// builds the filtering elements (parallel per step) and runs the forward
-/// sweep, phase 2 builds the smoothing elements from the filtered results
-/// and runs the backward (suffix) sweep, both over the schedule's fixed
-/// Brent–Kung tree (so results are bitwise identical across execution
-/// policies).  Unlike the QR smoothers, covariances are inherent to the
-/// computation and always returned.
+/// Phase 1 builds the filtering elements (parallel per step) and runs the
+/// forward sweep; phase 2 builds the smoothing elements from the filtered
+/// results and runs the backward (suffix) sweep.  Both sweeps run one
+/// fixed Brent–Kung combine tree, so results are bitwise identical across
+/// execution policies.  Unlike the QR smoothers, covariances are inherent
+/// to the computation and always returned.
 ///
 /// # Errors
 ///
@@ -49,15 +49,47 @@ fn check_supported(model: &LinearModel) -> Result<()> {
 /// for unsupported models; covariance failures propagate.
 pub fn associative_smooth(model: &LinearModel, options: AssociativeOptions) -> Result<Smoothed> {
     check_supported(model)?;
-    let mut plan = crate::ScanPlan::for_model(
-        model,
-        crate::ScanOptions {
-            policy: options.policy,
-        },
-    )?;
-    // One-shot execution: workspace retention would never be harvested.
-    plan.set_arena(false);
-    plan.smooth_model(model)
+    let k1 = model.num_states();
+    let levels = tree_levels(k1);
+    let policy = options.policy;
+
+    let mut felems = map_collect(policy.for_len(k1), k1, |i| {
+        FilterElement::for_state(model, i)
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>>>()?;
+    for pairs in &levels {
+        let combined = map_collect(policy.for_len(pairs.len()), pairs.len(), |j| {
+            let (src, dst) = pairs[j];
+            felems[src].combine(&felems[dst])
+        });
+        for (&(_, dst), elem) in pairs.iter().zip(combined) {
+            felems[dst] = elem;
+        }
+    }
+
+    let mut selems = map_collect(policy.for_len(k1), k1, |i| {
+        SmoothElement::for_state(model, i, felems[i].b.col(0), &felems[i].c)
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>>>()?;
+    // The same pair lists run the suffix sweep mirrored: indices reflect
+    // (`i ↦ last − i`) and the mirrored dst slot is the *earlier* operand.
+    let last = k1 - 1;
+    for pairs in &levels {
+        let combined = map_collect(policy.for_len(pairs.len()), pairs.len(), |j| {
+            let (src, dst) = pairs[j];
+            selems[last - dst].combine(&selems[last - src])
+        });
+        for (&(_, dst), elem) in pairs.iter().zip(combined) {
+            selems[last - dst] = elem;
+        }
+    }
+
+    Ok(Smoothed {
+        means: selems.iter().map(|e| e.g.col(0).to_vec()).collect(),
+        covariances: Some(selems.into_iter().map(|e| e.l).collect()),
+    })
 }
 
 #[cfg(test)]
@@ -105,10 +137,8 @@ mod tests {
             },
         )
         .unwrap();
-        // The parallel scan applies the operator in a different association
-        // order, so results differ by rounding only.
-        assert!(seq.max_mean_diff(&par) < 1e-9);
-        assert!(seq.max_cov_diff(&par).unwrap() < 1e-9);
+        assert_eq!(seq.max_mean_diff(&par), 0.0);
+        assert_eq!(seq.max_cov_diff(&par), Some(0.0));
     }
 
     #[test]

@@ -135,9 +135,7 @@ pub use kalman_wire as wire;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use kalman_associative::{
-        associative_smooth, AssociativeOptions, ScanOptions, ScanPlan, ScanSchedule,
-    };
+    pub use kalman_associative::{associative_smooth, AssociativeOptions};
     pub use kalman_dense::Matrix;
     pub use kalman_model::{
         solve_dense, CovarianceSpec, Evolution, KalmanError, LinearModel, LinearStep, Observation,

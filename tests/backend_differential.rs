@@ -11,9 +11,8 @@
 //!   rests only on the dense QR kernels;
 //! * the **odd-even QR backend** (`odd_even_smooth`): the paper's
 //!   algorithm;
-//! * the **associative-scan backend** (`associative_smooth`, a `ScanPlan`
-//!   under the hood): the Särkkä & García-Fernández algorithm on the
-//!   plan/execute engine.
+//! * the **associative-scan backend** (`associative_smooth`): the
+//!   Särkkä & García-Fernández algorithm over a fixed combine tree.
 //!
 //! Means and SelInv covariance diagonals must pairwise agree to a
 //! scale-aware tolerance.  The vendored proptest has no shrinking, but

@@ -161,8 +161,8 @@ fn simd_and_mono_kernels_stay_bitwise_equal_across_policies() {
     }
 }
 
-/// The associative-scan backend's combine tree is fixed by its
-/// `ScanSchedule`, and parallel execution writes pre-assigned slots — so
+/// The associative-scan backend's combine tree is fixed by the window
+/// length, and parallel execution writes pre-assigned slots — so
 /// the scan must satisfy the same bitwise Seq≡Par contract the odd-even
 /// backend does, across the full thread × grain matrix.
 #[test]

@@ -54,6 +54,20 @@ fn negative_variance_is_rejected() {
         Err(KalmanError::NotPositiveDefinite { step }) => assert_eq!(step, 2),
         other => panic!("expected not-PD at step 2, got {other:?}"),
     }
+    // Validation runs before the prior check, so the prior-requiring
+    // smoothers report the same step.
+    for (name, result) in [
+        ("rts", rts_smooth(&model)),
+        (
+            "associative",
+            associative_smooth(&model, AssociativeOptions::default()),
+        ),
+    ] {
+        match result {
+            Err(KalmanError::NotPositiveDefinite { step }) => assert_eq!(step, 2, "{name}"),
+            other => panic!("{name}: expected not-PD at step 2, got {other:?}"),
+        }
+    }
 }
 
 #[test]
@@ -64,6 +78,18 @@ fn indefinite_dense_covariance_is_rejected() {
     match paige_saunders_smooth(&model, SmootherOptions::default()) {
         Err(KalmanError::NotPositiveDefinite { step }) => assert_eq!(step, 3),
         other => panic!("expected not-PD at step 3, got {other:?}"),
+    }
+    for (name, result) in [
+        ("rts", rts_smooth(&model)),
+        (
+            "associative",
+            associative_smooth(&model, AssociativeOptions::default()),
+        ),
+    ] {
+        match result {
+            Err(KalmanError::NotPositiveDefinite { step }) => assert_eq!(step, 3, "{name}"),
+            other => panic!("{name}: expected not-PD at step 3, got {other:?}"),
+        }
     }
 }
 
