@@ -12,9 +12,9 @@
 //! `cargo run --release -p kalman-bench --bin fig4_microbench \
 //!     [--n 48] [--k 20000] [--runs 3]`
 //!
-//! `--smoke` runs the CI-sized kernel microbenchmark instead: GEMM and QR
-//! (factor + `Qᵀ` application) across block sizes, blocked kernels versus
-//! the unblocked reference, plus the monomorphized SIMD kernels versus the
+//! `--smoke` runs the CI-sized kernel microbenchmark instead: GEMM across
+//! block sizes, blocked kernel versus the unblocked reference, plus the
+//! monomorphized SIMD kernels (GEMM and the triangular-stack QR) versus the
 //! scalar oracle at the serving dimensions n ∈ {4, 8, 16}; each pair is
 //! measured as interleaved A/B rounds with per-arm minima (the noise-robust
 //! methodology of docs/BENCHMARKS.md), single-threaded; `--json PATH`
@@ -104,49 +104,6 @@ fn smoke(args: &mut Args) {
         push_pair(
             &mut entries,
             &format!("gemm/n{n}"),
-            ("reference", "blocked"),
-            t_ref,
-            t_blk,
-        );
-    }
-
-    // QR: factor a 2n×n stack and apply Qᵀ to a 2n×(n+1) companion — the
-    // odd-even elimination's primitive — blocked (compact-WY above
-    // QR_BLOCK_MIN_COLS, fused or factor-then-apply below per
-    // QR_FUSED_MAX_COLS) vs the unblocked factor + separate sweep.  The
-    // n ∈ {96, 128, 192} points straddle the QR_FUSED_MAX_COLS crossover,
-    // so their gated speedups pin the regime switch.
-    for n in [8usize, 16, 24, 48, 96, 128, 192, 256] {
-        let a = test_matrix(2 * n, n);
-        let b = test_matrix(2 * n, n + 1);
-        let reps = (2_000_000 / (n * n * n)).max(1);
-        let (t_ref, t_blk) = ab_min(
-            rounds,
-            || {
-                time_once(|| {
-                    for _ in 0..reps {
-                        let qr = QrFactor::new_unblocked(a.clone());
-                        let mut rhs = b.clone();
-                        qr.apply_qt(&mut rhs);
-                        std::hint::black_box(&rhs);
-                    }
-                })
-                .0 / reps as f64
-            },
-            || {
-                time_once(|| {
-                    for _ in 0..reps {
-                        let mut rhs = b.clone();
-                        let qr = QrFactor::new_applying(a.clone(), &mut [&mut rhs]);
-                        std::hint::black_box(&qr);
-                    }
-                })
-                .0 / reps as f64
-            },
-        );
-        push_pair(
-            &mut entries,
-            &format!("qr/n{n}"),
             ("reference", "blocked"),
             t_ref,
             t_blk,
@@ -253,9 +210,8 @@ fn smoke(args: &mut Args) {
     if !json.is_empty() {
         let config = format!(
             "fig4 --smoke: dense kernels, 1 thread, interleaved A/B mins of {rounds} rounds \
-             per pair; gemm/qr rows: blocked vs unblocked reference (qr n in [96,128,192] \
-             straddles the QR_FUSED_MAX_COLS crossover); gemm/nK/simd + qr/nK/mono rows: \
-             monomorphized SIMD kernels vs the scalar oracle at the serving dimensions"
+             per pair; gemm rows: blocked vs unblocked reference; gemm/nK/simd + qr/nK/mono \
+             rows: monomorphized SIMD kernels vs the scalar oracle at the serving dimensions"
         );
         kalman_bench::write_bench_json(&json, &config, &entries).expect("write json");
         println!("wrote {json}");

@@ -19,8 +19,8 @@ impl Cholesky {
     ///
     /// # Errors
     ///
-    /// Returns [`DenseError::NotPositiveDefinite`] if a non-positive pivot
-    /// appears.
+    /// Returns [`DenseError::NotPositiveDefinite`] if a pivot is not a
+    /// positive finite number (a NaN or infinite entry fails too).
     ///
     /// # Panics
     ///
@@ -36,7 +36,8 @@ impl Cholesky {
                 let v = l[(j, k)];
                 d -= v * v;
             }
-            if d <= 0.0 {
+            // Negated so a NaN pivot fails too (`d <= 0.0` is false for NaN).
+            if !(d > 0.0 && d.is_finite()) {
                 return Err(DenseError::NotPositiveDefinite { index: j });
             }
             let dj = d.sqrt();
@@ -153,10 +154,20 @@ mod tests {
 
     #[test]
     fn not_spd_detected() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]); // eigenvalues 3, -1
-        match Cholesky::new(&a) {
-            Err(DenseError::NotPositiveDefinite { .. }) => {}
-            other => panic!("expected not-SPD, got {other:?}"),
+        let indefinite = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]); // eigenvalues 3, -1
+        let nan_diag = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, f64::NAN]]);
+        let nan_off = Matrix::from_rows(&[&[1.0, f64::NAN], &[f64::NAN, 1.0]]);
+        let inf_diag = Matrix::from_rows(&[&[f64::INFINITY, 0.0], &[0.0, 1.0]]);
+        for (name, a) in [
+            ("indefinite", indefinite),
+            ("NaN diagonal", nan_diag),
+            ("NaN off-diagonal", nan_off),
+            ("Inf diagonal", inf_diag),
+        ] {
+            match Cholesky::new(&a) {
+                Err(DenseError::NotPositiveDefinite { .. }) => {}
+                other => panic!("{name}: expected not-SPD, got {other:?}"),
+            }
         }
     }
 

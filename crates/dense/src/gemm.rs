@@ -392,13 +392,6 @@ pub fn matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
     c
 }
 
-/// `aᵀ * bᵀ` as a new matrix.
-pub fn matmul_tt(a: &Matrix, b: &Matrix) -> Matrix {
-    let mut c = Matrix::zeros(a.cols(), b.rows());
-    gemm(1.0, a, Trans::Yes, b, Trans::Yes, 0.0, &mut c);
-    c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,13 +426,6 @@ mod tests {
     fn matmul_nt_matches_explicit_transpose() {
         let c = matmul_nt(&a(), &a());
         let expect = matmul(&a(), &a().transpose());
-        assert!(c.approx_eq(&expect, 1e-12));
-    }
-
-    #[test]
-    fn matmul_tt_matches_explicit_transpose() {
-        let c = matmul_tt(&a(), &b());
-        let expect = matmul(&a().transpose(), &b().transpose());
         assert!(c.approx_eq(&expect, 1e-12));
     }
 

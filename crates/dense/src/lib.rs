@@ -19,8 +19,7 @@
 //! All matrices are dense and owned; the smoothers operate on many small
 //! blocks (the paper uses n = 6, 48 and 500).  The kernels are tuned for
 //! that regime — a blocked, register-tiled GEMM microkernel, four-column
-//! Householder applications, a compact-WY blocked QR for large blocks, a
-//! triangular-pentagonal stack elimination ([`qr_tri_stack_applying`]),
+//! Householder applications, a triangular-pentagonal stack elimination ([`qr_tri_stack_applying`]),
 //! explicit-width AVX2/FMA SIMD tiles with const-generic monomorphized
 //! small-`n` kernels ([`simd`], selected at plan time via [`KernelKind`]),
 //! and a thread-local buffer-recycling [`workspace`] that makes
@@ -60,19 +59,14 @@ pub mod workspace;
 
 pub use chol::{llt, Cholesky};
 pub use error::DenseError;
-pub use gemm::{
-    gemm, gemm_blocked, gemm_ref, matmul, matmul_nt, matmul_tn, matmul_tt, GemmFn, Trans,
-};
+pub use gemm::{gemm, gemm_blocked, gemm_ref, matmul, matmul_nt, matmul_tn, GemmFn, Trans};
 pub use lu::{solve, LuFactor};
 pub use matrix::Matrix;
 pub use qr::{
-    compress_rows, compress_rows_owned, qr_stacked, qr_trap_stack_applying, qr_tri_stack_applying,
+    compress_rows, compress_rows_owned, qr_trap_stack_applying, qr_tri_stack_applying,
     qr_tri_stack_applying_with, trapezoidalize_applying, ColPivQr, QrFactor,
 };
-pub use simd::{
-    kernel_dispatch_counts, set_portable_kernels, set_simd_kernels, simd_backend, simd_kernels,
-    KernelKind,
-};
+pub use simd::{kernel_dispatch_counts, simd_backend, KernelKind};
 pub use workspace::{
     arena_active, arena_scope, budget_for_len, pooling_enabled, reference_kernels,
     register_workspace_gauges, set_pooling, set_reference_kernels, ArenaScope, Workspace,

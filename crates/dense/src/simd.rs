@@ -9,15 +9,19 @@
 //! Three layers of kernels coexist, and the scalar layer is the oracle:
 //!
 //! * **scalar** — the original loop nests in `gemm.rs` / `qr.rs` / `tri.rs`,
-//!   always reachable via `KALMAN_REF_KERNELS` / `set_reference_kernels`,
+//!   always reachable via `KALMAN_REF_KERNELS` / `set_reference_kernels`
+//!   (the one kernel switch),
 //! * **SIMD** — the width-aware tiles in this module, used by the blocked
 //!   GEMM microkernel, the four-column Householder applications and the
-//!   triangular solves whenever [`simd_kernels`] is on and reference mode
-//!   is off,
+//!   triangular solves whenever reference mode is off,
 //! * **monomorphized** — const-generic `n ∈ {4, 8, 16}` kernels
 //!   ([`gemm_mono`], and the tri-stack bodies in `qr.rs`), selected at plan
 //!   time through [`KernelKind`] so a `SmoothPlan` binds the exact kernel
 //!   once instead of re-dispatching per call.
+//!
+//! Whether the AVX2/FMA or the portable 4-lane body runs is decided by the
+//! CPU alone; the unit tests below call the portable bodies directly, so
+//! they are checked against the scalar oracle on AVX2 hosts too.
 //!
 //! **Accuracy contract**: the FMA tiles fuse multiply and add into a single
 //! rounding, so SIMD results are *not* bitwise-equal to the scalar oracle —
@@ -32,71 +36,22 @@
 //! [`register_workspace_gauges`](crate::workspace::register_workspace_gauges).
 #![allow(unsafe_code)]
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 use crate::workspace;
 
 // ---------------------------------------------------------------------------
-// Switches and runtime dispatch
+// Runtime dispatch
 // ---------------------------------------------------------------------------
 
-/// Process-wide SIMD switch: paired value/init flags, same lazy-env pattern
-/// as `workspace::REFERENCE_KERNELS`.
-static SIMD_KERNELS: AtomicBool = AtomicBool::new(true);
-static SIMD_KERNELS_INIT: AtomicBool = AtomicBool::new(false);
-/// Forces the portable 4-lane fallback even where AVX2 is available — lets
-/// the test suite pin the portable lanes on AVX2 hosts.
-static FORCE_PORTABLE: AtomicBool = AtomicBool::new(false);
 /// Cached CPU verdict: 0 = undetected, 1 = no AVX2/FMA, 2 = AVX2+FMA.
 static AVX2: AtomicU8 = AtomicU8::new(0);
 
-/// Enables or disables the explicit-width SIMD kernels process-wide
-/// (default: enabled unless the `KALMAN_SIMD` environment variable is set
-/// to `0`).  With SIMD off, callers fall back to the tuned scalar loops —
-/// the same paths `KALMAN_REF_KERNELS` exercises wholesale.  The benchmark
-/// harness flips this to isolate the SIMD contribution within one process.
-pub fn set_simd_kernels(on: bool) {
-    // Relaxed on both: callers flip this during single-threaded setup (the
-    // bench harness, or the lazy env-derived init below, which is
-    // idempotent) — thread spawn/join provides the happens-before edge for
-    // any worker that later reads the flags.
-    SIMD_KERNELS.store(on, Ordering::Relaxed);
-    SIMD_KERNELS_INIT.store(true, Ordering::Relaxed); // Relaxed: see the setup/happens-before argument above.
-}
-
-/// `true` when the explicit-width SIMD kernels are enabled.
-pub fn simd_kernels() -> bool {
-    // Relaxed: the lazy init is idempotent (every racer derives the same
-    // value from the environment), so no ordering is needed.
-    if !SIMD_KERNELS_INIT.load(Ordering::Relaxed) {
-        let on = !std::env::var("KALMAN_SIMD").is_ok_and(|v| v == "0" || v == "off");
-        set_simd_kernels(on);
-        return on;
-    }
-    SIMD_KERNELS.load(Ordering::Relaxed) // Relaxed: same idempotent-init argument as above.
-}
-
-/// Forces the portable 4-lane fallback kernels even on AVX2 hardware.
-/// Test-suite hook: lets the proptests pin the portable lanes against the
-/// scalar oracle on machines where AVX2 would normally win dispatch.
-pub fn set_portable_kernels(on: bool) {
-    // Relaxed: independent on/off test hook flipped during single-threaded
-    // setup; either value leaves every kernel correct.
-    FORCE_PORTABLE.store(on, Ordering::Relaxed);
-}
-
-/// `true` while the portable fallback is forced via [`set_portable_kernels`].
-pub fn portable_kernels() -> bool {
-    // Relaxed: see `set_portable_kernels` — an independent flag, no other
-    // memory is published under it.
-    FORCE_PORTABLE.load(Ordering::Relaxed)
-}
-
-/// `true` when SIMD tiles should be used: the SIMD switch is on and the
-/// scalar reference oracle is not forced.
+/// `true` when SIMD tiles should be used: the scalar reference oracle is
+/// not forced.
 #[inline]
 pub(crate) fn simd_active() -> bool {
-    simd_kernels() && !workspace::reference_kernels()
+    !workspace::reference_kernels()
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -105,13 +60,9 @@ fn detect_avx2() -> bool {
 }
 
 /// `true` when the AVX2/FMA implementations should run (CPU support
-/// detected, portable fallback not forced).  The detection verdict is
-/// cached after the first call.
+/// detected).  The detection verdict is cached after the first call.
 #[inline]
 fn use_avx2() -> bool {
-    if portable_kernels() {
-        return false;
-    }
     #[cfg(target_arch = "x86_64")]
     {
         // Relaxed loads/stores throughout: the cached verdict is an
@@ -134,8 +85,7 @@ fn use_avx2() -> bool {
 }
 
 /// Which backend the SIMD layer would run right now: `"avx2"`,
-/// `"portable"`, or `"scalar"` when the SIMD layer is disabled (switch off
-/// or reference oracle forced).  Surfaced by `phase_profile` and useful in
+/// `"portable"`, or `"scalar"` when the reference oracle is forced.  Surfaced by `phase_profile` and useful in
 /// CI logs on runners without AVX2.
 pub fn simd_backend() -> &'static str {
     if !simd_active() {
@@ -585,163 +535,6 @@ pub fn reflector_one(v: &[f64], tau: f64, w: &mut f64, col: &mut [f64]) {
 }
 
 // ---------------------------------------------------------------------------
-// Kernels: shared-vector quad dot / quad axpy (compact-WY panel phases)
-// ---------------------------------------------------------------------------
-
-/// # Safety
-///
-/// Caller must ensure AVX2 and FMA are available on the executing CPU, and
-/// that each column slice is at least `v.len()` long.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn dot_quad_avx2(v: &[f64], cols: [&[f64]; 4], acc: &mut [f64; 4]) {
-    use core::arch::x86_64::*;
-    let len = v.len();
-    let pv = v.as_ptr();
-    let [c0, c1, c2, c3] = cols;
-    let (p0, p1, p2, p3) = (c0.as_ptr(), c1.as_ptr(), c2.as_ptr(), c3.as_ptr());
-    let mut s0 = _mm256_setzero_pd();
-    let mut s1 = _mm256_setzero_pd();
-    let mut s2 = _mm256_setzero_pd();
-    let mut s3 = _mm256_setzero_pd();
-    let mut i = 0;
-    while i + 4 <= len {
-        let vv = _mm256_loadu_pd(pv.add(i));
-        s0 = _mm256_fmadd_pd(vv, _mm256_loadu_pd(p0.add(i)), s0);
-        s1 = _mm256_fmadd_pd(vv, _mm256_loadu_pd(p1.add(i)), s1);
-        s2 = _mm256_fmadd_pd(vv, _mm256_loadu_pd(p2.add(i)), s2);
-        s3 = _mm256_fmadd_pd(vv, _mm256_loadu_pd(p3.add(i)), s3);
-        i += 4;
-    }
-    let (mut a0, mut a1, mut a2, mut a3) = (hsum4(s0), hsum4(s1), hsum4(s2), hsum4(s3));
-    while i < len {
-        let vi = v[i];
-        a0 += vi * *p0.add(i);
-        a1 += vi * *p1.add(i);
-        a2 += vi * *p2.add(i);
-        a3 += vi * *p3.add(i);
-        i += 1;
-    }
-    acc[0] += a0;
-    acc[1] += a1;
-    acc[2] += a2;
-    acc[3] += a3;
-}
-
-fn dot_quad_portable(v: &[f64], cols: [&[f64]; 4], acc: &mut [f64; 4]) {
-    let [c0, c1, c2, c3] = cols;
-    let (mut a0, mut a1, mut a2, mut a3) = (0.0, 0.0, 0.0, 0.0);
-    for (i, &vi) in v.iter().enumerate() {
-        a0 += vi * c0[i];
-        a1 += vi * c1[i];
-        a2 += vi * c2[i];
-        a3 += vi * c3[i];
-    }
-    acc[0] += a0;
-    acc[1] += a1;
-    acc[2] += a2;
-    acc[3] += a3;
-}
-
-/// Four dot products against one shared vector: `acc[q] += v · cols[q]`,
-/// loading `v` once per lane-quad for all four columns.  The compact-WY
-/// panel's `W = V̂ᵀ B̂` phase is this shape.  Each `cols[q]` must be at least
-/// `v.len()` long; only the first `v.len()` entries are read.
-pub fn dot_quad(v: &[f64], cols: [&[f64]; 4], acc: &mut [f64; 4]) {
-    debug_assert!(cols.iter().all(|c| c.len() >= v.len()));
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2() {
-        // SAFETY: `use_avx2()` is true only after `is_x86_feature_detected!`
-        // confirmed AVX2+FMA on this CPU; the debug assertion above (and the
-        // callers' slice constructions) guarantee each column holds at least
-        // `v.len()` elements.
-        return unsafe { dot_quad_avx2(v, cols, acc) };
-    }
-    dot_quad_portable(v, cols, acc)
-}
-
-/// # Safety
-///
-/// Caller must ensure AVX2 and FMA are available on the executing CPU, and
-/// that each column slice is at least `v.len()` long.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn axpy_quad_avx2(w: [f64; 4], v: &[f64], cols: [&mut [f64]; 4]) {
-    use core::arch::x86_64::*;
-    let len = v.len();
-    let pv = v.as_ptr();
-    let [c0, c1, c2, c3] = cols;
-    let (p0, p1, p2, p3) = (
-        c0.as_mut_ptr(),
-        c1.as_mut_ptr(),
-        c2.as_mut_ptr(),
-        c3.as_mut_ptr(),
-    );
-    let (wv0, wv1, wv2, wv3) = (
-        _mm256_set1_pd(w[0]),
-        _mm256_set1_pd(w[1]),
-        _mm256_set1_pd(w[2]),
-        _mm256_set1_pd(w[3]),
-    );
-    let mut i = 0;
-    while i + 4 <= len {
-        let vv = _mm256_loadu_pd(pv.add(i));
-        _mm256_storeu_pd(
-            p0.add(i),
-            _mm256_fnmadd_pd(wv0, vv, _mm256_loadu_pd(p0.add(i))),
-        );
-        _mm256_storeu_pd(
-            p1.add(i),
-            _mm256_fnmadd_pd(wv1, vv, _mm256_loadu_pd(p1.add(i))),
-        );
-        _mm256_storeu_pd(
-            p2.add(i),
-            _mm256_fnmadd_pd(wv2, vv, _mm256_loadu_pd(p2.add(i))),
-        );
-        _mm256_storeu_pd(
-            p3.add(i),
-            _mm256_fnmadd_pd(wv3, vv, _mm256_loadu_pd(p3.add(i))),
-        );
-        i += 4;
-    }
-    while i < len {
-        let vi = v[i];
-        *p0.add(i) -= w[0] * vi;
-        *p1.add(i) -= w[1] * vi;
-        *p2.add(i) -= w[2] * vi;
-        *p3.add(i) -= w[3] * vi;
-        i += 1;
-    }
-}
-
-fn axpy_quad_portable(w: [f64; 4], v: &[f64], cols: [&mut [f64]; 4]) {
-    let [c0, c1, c2, c3] = cols;
-    for (i, &vi) in v.iter().enumerate() {
-        c0[i] -= w[0] * vi;
-        c1[i] -= w[1] * vi;
-        c2[i] -= w[2] * vi;
-        c3[i] -= w[3] * vi;
-    }
-}
-
-/// Four rank-1 updates against one shared vector: `cols[q] ← cols[q] −
-/// w[q]·v`, loading `v` once per lane-quad for all four columns.  The
-/// compact-WY panel's `B̂ −= V̂ W` phase is this shape.  Each `cols[q]` must
-/// be at least `v.len()` long; only the first `v.len()` entries are touched.
-pub fn axpy_quad(w: [f64; 4], v: &[f64], cols: [&mut [f64]; 4]) {
-    debug_assert!(cols.iter().all(|c| c.len() >= v.len()));
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2() {
-        // SAFETY: `use_avx2()` is true only after `is_x86_feature_detected!`
-        // confirmed AVX2+FMA on this CPU; the debug assertion above (and the
-        // callers' slice constructions) guarantee each column holds at least
-        // `v.len()` elements.
-        return unsafe { axpy_quad_avx2(w, v, cols) };
-    }
-    axpy_quad_portable(w, v, cols)
-}
-
-// ---------------------------------------------------------------------------
 // Kernel: const-generic monomorphized GEMM (n ∈ {4, 8, 16})
 // ---------------------------------------------------------------------------
 
@@ -863,29 +656,68 @@ mod tests {
         assert_eq!(KernelKind::Mono16.dim(), Some(16));
     }
 
+    fn close(got: f64, want: f64) -> bool {
+        (got - want).abs() <= 1e-12 * (1.0 + want.abs())
+    }
+
+    /// The dispatching `dot`/`axpy`, the portable dot lanes and the portable
+    /// reflector quad against scalar loops, on every tail length.  The
+    /// portable bodies are called directly so they run on AVX2 hosts too.
     #[test]
     fn dot_axpy_match_reference() {
         for n in [0usize, 1, 3, 4, 5, 7, 8, 9, 15, 33] {
             let x: Vec<f64> = (0..n).map(|i| (i as f64).sin() + 1.0).collect();
             let y: Vec<f64> = (0..n).map(|i| (i as f64).cos() - 0.5).collect();
-            let d = dot(&x, &y);
-            assert!((d - dot_ref(&x, &y)).abs() <= 1e-12 * (1.0 + d.abs()));
+            let want = dot_ref(&x, &y);
+            assert!(close(dot(&x, &y), want));
+            assert!(close(dot_portable(&x, &y), want), "portable dot n={n}");
             let mut z = y.clone();
             axpy(0.7, &x, &mut z);
             for i in 0..n {
-                let want = y[i] + 0.7 * x[i];
-                assert!((z[i] - want).abs() <= 1e-12 * (1.0 + want.abs()));
+                assert!(close(z[i], y[i] + 0.7 * x[i]));
+            }
+
+            // Reflector quad: w_q ← τ·(w_q + x·c_q), c_q ← c_q − w_q·x.
+            let tau = 1.3;
+            let cols: [Vec<f64>; 4] = std::array::from_fn(|q| {
+                (0..n).map(|i| ((i + 7 * q) as f64 * 0.29).cos()).collect()
+            });
+            let pivots = [0.5, -1.25, 2.0, 0.0];
+            let mut want_w = [0.0; 4];
+            let mut want_cols = cols.clone();
+            for q in 0..4 {
+                want_w[q] = tau * (pivots[q] + dot_ref(&x, &cols[q]));
+                for i in 0..n {
+                    want_cols[q][i] -= want_w[q] * x[i];
+                }
+            }
+            for portable in [false, true] {
+                let mut w = pivots;
+                let mut got = cols.clone();
+                let tiles = got.each_mut().map(|c| c.as_mut_slice());
+                if portable {
+                    reflector_quad_portable(&x, tau, &mut w, tiles);
+                } else {
+                    reflector_quad(&x, tau, &mut w, tiles);
+                }
+                for q in 0..4 {
+                    assert!(close(w[q], want_w[q]), "quad w[{q}] n={n}");
+                    for i in 0..n {
+                        assert!(close(got[q][i], want_cols[q][i]), "quad c{q}[{i}] n={n}");
+                    }
+                }
             }
         }
     }
 
+    /// The GEMM microtile (dispatching and portable) and the portable
+    /// monomorphized GEMM at every served width, against scalar sums.
     #[test]
     fn microtile_matches_scalar_accumulation() {
         let depth = 5;
         let a: Vec<f64> = (0..4 * depth).map(|i| (i as f64 * 0.37).sin()).collect();
         let b: Vec<f64> = (0..4 * depth).map(|i| (i as f64 * 0.11).cos()).collect();
-        let mut acc = [[0.25f64; 4]; 4];
-        let mut want = acc;
+        let mut want = [[0.25f64; 4]; 4];
         for p in 0..depth {
             for (ir, row) in want.iter_mut().enumerate() {
                 for (jr, cij) in row.iter_mut().enumerate() {
@@ -893,11 +725,40 @@ mod tests {
                 }
             }
         }
+        let mut acc = [[0.25f64; 4]; 4];
         gemm_microkernel_4x4(&a, &b, &mut acc);
-        for (row, wrow) in acc.iter().zip(&want) {
-            for (got, wanted) in row.iter().zip(wrow) {
-                assert!((got - wanted).abs() <= 1e-12 * (1.0 + wanted.abs()));
+        let mut acc_portable = [[0.25f64; 4]; 4];
+        gemm_microkernel_4x4_portable(&a, &b, &mut acc_portable);
+        for got in [acc, acc_portable] {
+            for (row, wrow) in got.iter().zip(&want) {
+                for (g, w) in row.iter().zip(wrow) {
+                    assert!(close(*g, *w));
+                }
             }
         }
+
+        fn mono_portable_matches<const N: usize>() {
+            let a: Vec<f64> = (0..N * N).map(|i| (i as f64 * 0.37).sin()).collect();
+            let b: Vec<f64> = (0..N * N).map(|i| (i as f64 * 0.11).cos()).collect();
+            let c0: Vec<f64> = (0..N * N).map(|i| (i as f64 * 0.53).sin()).collect();
+            let (alpha, beta) = (1.5, 0.5);
+            for b_trans in [false, true] {
+                let mut c = c0.clone();
+                gemm_mono_portable::<N>(alpha, &a, &b, b_trans, beta, &mut c);
+                for j in 0..N {
+                    for i in 0..N {
+                        let mut want = beta * c0[i + j * N];
+                        for k in 0..N {
+                            let bkj = if b_trans { b[j + k * N] } else { b[k + j * N] };
+                            want += alpha * a[i + k * N] * bkj;
+                        }
+                        assert!(close(c[i + j * N], want), "mono N={N} ({i},{j})");
+                    }
+                }
+            }
+        }
+        mono_portable_matches::<4>();
+        mono_portable_matches::<8>();
+        mono_portable_matches::<16>();
     }
 }

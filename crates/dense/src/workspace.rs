@@ -63,8 +63,9 @@ thread_local! {
     /// without bound.
     static ARENA_SCOPES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
-/// Global switch for the blocked kernels (GEMM microkernel, compact-WY QR).
-/// `true` forces the unblocked/naive reference paths everywhere.
+/// The one kernel switch: `true` forces the scalar reference loops
+/// everywhere (naive GEMM, scalar Householder and triangular-solve loops, no
+/// SIMD tiles, no monomorphized kernels).
 static REFERENCE_KERNELS: AtomicBool = AtomicBool::new(false);
 static REFERENCE_KERNELS_INIT: AtomicBool = AtomicBool::new(false);
 
@@ -141,11 +142,12 @@ pub fn budget_for_len(len: usize) -> usize {
     class_of(len).map(class_capacity).unwrap_or(0)
 }
 
-/// Forces the unblocked/naive reference kernels (`gemm_ref`, per-reflector
-/// Householder application) process-wide.  The default (`false`, unless the
+/// Forces the scalar reference kernels (`gemm_ref`, scalar Householder and
+/// triangular-solve loops) process-wide.  The default (`false`, unless the
 /// `KALMAN_REF_KERNELS` environment variable is set to something other
-/// than `""`/`"0"`/`"off"`) uses the blocked kernels.  The benchmark harness flips this to measure the blocked
-/// kernels' speedup within one process.
+/// than `""`/`"0"`/`"off"`) uses the blocked, SIMD and monomorphized
+/// kernels.  The benchmark harness flips this to measure their speedup
+/// within one process.
 pub fn set_reference_kernels(on: bool) {
     // Relaxed on both: callers flip this during single-threaded setup (the
     // bench harness, or the lazy env-derived init below, which is
@@ -161,7 +163,7 @@ pub fn reference_kernels() -> bool {
     // value from the environment), so no ordering is needed.
     if !REFERENCE_KERNELS_INIT.load(Ordering::Relaxed) {
         // `""`, `"0"`, and `"off"` count as unset so a CI matrix can pass
-        // the variable through unconditionally (same idiom as KALMAN_SIMD).
+        // the variable through unconditionally.
         let on = std::env::var("KALMAN_REF_KERNELS")
             .is_ok_and(|v| !(v.is_empty() || v == "0" || v == "off"));
         set_reference_kernels(on);

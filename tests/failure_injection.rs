@@ -72,23 +72,28 @@ fn negative_variance_is_rejected() {
 
 #[test]
 fn indefinite_dense_covariance_is_rejected() {
-    let mut model = generators::paper_benchmark(&mut rng(2), 2, 5, false);
     let indefinite = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]);
-    model.steps[3].evolution.as_mut().unwrap().noise = CovarianceSpec::Dense(indefinite);
-    match paige_saunders_smooth(&model, SmootherOptions::default()) {
-        Err(KalmanError::NotPositiveDefinite { step }) => assert_eq!(step, 3),
-        other => panic!("expected not-PD at step 3, got {other:?}"),
-    }
-    for (name, result) in [
-        ("rts", rts_smooth(&model)),
-        (
-            "associative",
-            associative_smooth(&model, AssociativeOptions::default()),
-        ),
-    ] {
-        match result {
-            Err(KalmanError::NotPositiveDefinite { step }) => assert_eq!(step, 3, "{name}"),
-            other => panic!("{name}: expected not-PD at step 3, got {other:?}"),
+    let nan_diag = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, f64::NAN]]);
+    let nan_off = Matrix::from_rows(&[&[1.0, f64::NAN], &[f64::NAN, 1.0]]);
+    let inf_diag = Matrix::from_rows(&[&[f64::INFINITY, 0.0], &[0.0, 1.0]]);
+    for noise in [indefinite, nan_diag, nan_off, inf_diag] {
+        let mut model = generators::paper_benchmark(&mut rng(2), 2, 5, false);
+        model.steps[3].evolution.as_mut().unwrap().noise = CovarianceSpec::Dense(noise.clone());
+        match paige_saunders_smooth(&model, SmootherOptions::default()) {
+            Err(KalmanError::NotPositiveDefinite { step }) => assert_eq!(step, 3),
+            other => panic!("expected not-PD at step 3 for {noise:?}, got {other:?}"),
+        }
+        for (name, result) in [
+            ("rts", rts_smooth(&model)),
+            (
+                "associative",
+                associative_smooth(&model, AssociativeOptions::default()),
+            ),
+        ] {
+            match result {
+                Err(KalmanError::NotPositiveDefinite { step }) => assert_eq!(step, 3, "{name}"),
+                other => panic!("{name}: expected not-PD at step 3 for {noise:?}, got {other:?}"),
+            }
         }
     }
 }
@@ -478,6 +483,51 @@ mod non_finite_ingest {
             out.extend(stream.finish().unwrap().0);
             (out, errors)
         });
+    }
+
+    /// A dense observation noise with a NaN entry fails the Cholesky check
+    /// in `observe` with the typed error, and the stream's later output is
+    /// bitwise equal to a run that never saw the event.
+    #[test]
+    fn stream_rejects_nan_dense_noise_and_stays_untouched() {
+        let run = |poison: bool| {
+            let mut stream = stream_for(&model());
+            let (mut out, mut rejected) = (Vec::new(), 0);
+            let mut state = 0;
+            for event in events_of(&model()) {
+                let is_evolve = matches!(event, StreamEvent::Evolve(_));
+                state += usize::from(is_evolve);
+                out.extend(stream.ingest(event).unwrap());
+                if poison && is_evolve && state == BAD_STEP {
+                    let next = stream.next_index();
+                    let buffered = stream.buffered_len();
+                    let bad = Observation {
+                        g: Matrix::identity(2),
+                        o: vec![0.0, 0.0],
+                        noise: CovarianceSpec::Dense(Matrix::from_rows(&[
+                            &[1.0, 0.0],
+                            &[0.0, f64::NAN],
+                        ])),
+                    };
+                    match stream.observe(bad) {
+                        Err(KalmanError::NotPositiveDefinite { step }) => {
+                            assert_eq!(step, BAD_STEP)
+                        }
+                        other => panic!("expected not-PD at step {BAD_STEP}, got {other:?}"),
+                    }
+                    assert_eq!(stream.next_index(), next);
+                    assert_eq!(stream.buffered_len(), buffered);
+                    rejected += 1;
+                }
+            }
+            out.extend(stream.finish().unwrap().0);
+            (out, rejected)
+        };
+        let (clean, _) = run(false);
+        let (got, rejected) = run(true);
+        assert_eq!(rejected, 1);
+        assert!(got.iter().all(|f| f.mean.iter().all(|x| x.is_finite())));
+        assert_bitwise("stream", &got, &clean);
     }
 
     #[test]
