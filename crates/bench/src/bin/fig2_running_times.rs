@@ -14,7 +14,8 @@
 //! measured twice — once with the blocked kernels + workspace pooling and
 //! once with the unblocked reference kernels + pooling disabled — and
 //! records both timings plus the speedups to `--json PATH`
-//! (`BENCH_smoother.json` in CI).
+//! (`BENCH_smoother.json` in CI), together with the streaming plan-reuse,
+//! instrumentation-overhead and emit-prefix SelInv ratios.
 //!
 //! The in-process "reference" toggles only the kernel/pooling choices, not
 //! the structural rewrites (fused factor-and-apply, triangular-pentagonal
@@ -24,6 +25,7 @@
 //! A/B against the predecessor commit on the same machine, with the
 //! `vs-main/*` speedups the acceptance gate refers to.
 
+use kalman::model::whiten_model;
 use kalman::prelude::*;
 use kalman_bench::sweep::{panel_model, run_sweep, Algorithm};
 use kalman_bench::{core_sweep, fmt_secs, median_time, print_row, Args, BenchEntry};
@@ -91,6 +93,44 @@ fn flush_amortization(reps: usize) -> (f64, f64) {
         v[v.len() / 2]
     };
     (median(&mut firsts), median(&mut steadies))
+}
+
+/// Emit-prefix SelInv on a serve_mixed-shaped streaming window (n = 6,
+/// lag 12, flush_every 6: 18 states, of which a flush finalizes 6).  The
+/// window is factored once; full SelInv (`selinv_into`) and the flush's
+/// prefix SelInv (`selinv_prefix_into(…, 6)`) then run against that same
+/// factor in `rounds` interleaved rounds of `reps` calls, min per arm.
+/// Returns the per-call `(full, prefix)` seconds.
+fn selinv_prefix(rounds: usize, reps: usize) -> (f64, f64) {
+    let (lag, flush_every) = (12usize, 6usize);
+    let model = panel_model(6, lag + flush_every - 1, 13);
+    let opts = OddEvenOptions {
+        covariances: true,
+        policy: ExecPolicy::Seq,
+        compress_odd: true,
+    };
+    let mut plan = SmoothPlan::for_model(&model, opts).expect("valid model");
+    plan.execute(&mut whiten_model(&model).expect("valid model"))
+        .expect("well-posed window");
+    let mut covs = Vec::new();
+    let mut time = |states: Option<usize>| {
+        let t = Instant::now();
+        for _ in 0..reps {
+            match states {
+                None => plan.selinv_into(&mut covs),
+                Some(p) => plan.selinv_prefix_into(&mut covs, p),
+            }
+            .expect("well-posed window");
+            std::hint::black_box(&covs);
+        }
+        t.elapsed().as_secs_f64() / reps as f64
+    };
+    let (mut full, mut prefix) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..rounds {
+        full = full.min(time(None));
+        prefix = prefix.min(time(Some(flush_every)));
+    }
+    (full, prefix)
 }
 
 fn smoke(args: &mut Args) {
@@ -185,6 +225,18 @@ fn smoke(args: &mut Args) {
     entries.push(BenchEntry::new("obs/steady_flush_off", min_off));
     entries.push(BenchEntry::new("speedup/obs_on", obs_speedup));
 
+    // Emit-prefix SelInv: what a serve_mixed-shaped flush pays for the
+    // covariances it finalizes versus the whole window's.
+    let (full, prefix) = selinv_prefix(rounds, 200);
+    let prefix_speedup = full / prefix;
+    println!(
+        "selinv prefix (n=6, 18-state window, prefix 6, {rounds} interleaved rounds): \
+         full {full:.2e} s, prefix {prefix:.2e} s, speedup/selinv_prefix {prefix_speedup:.2}x"
+    );
+    entries.push(BenchEntry::new("selinv/window_full", full));
+    entries.push(BenchEntry::new("selinv/emit_prefix", prefix));
+    entries.push(BenchEntry::new("speedup/selinv_prefix", prefix_speedup));
+
     if !json.is_empty() {
         let config = format!(
             "fig2 --smoke: odd-even, 1 thread, k={k}, n in [4,8,16], interleaved \
@@ -193,8 +245,11 @@ fn smoke(args: &mut Args) {
              stream/* + speedup/plan_reuse: first vs steady-state flush of a n=4 \
              lag=32 stream; obs/* + speedup/obs_on: steady flush with \
              instrumentation off vs on, interleaved mins of {obs_rounds} rounds; \
-             main-baseline/* and vs-main/* rows (when present) are historical \
-             A/B measurements vs pre-optimization main, carried in the baseline"
+             selinv/* + speedup/selinv_prefix: full vs emit-prefix SelInv on one \
+             factored n=6 18-state window (lag 12, flush_every 6, prefix 6), \
+             interleaved mins of {rounds} rounds of 200 calls; main-baseline/* and \
+             vs-main/* rows (when present) are historical A/B measurements vs \
+             pre-optimization main, carried in the baseline"
         );
         kalman_bench::write_bench_json(&json, &config, &entries).expect("write json");
         println!("wrote {json}");

@@ -484,13 +484,29 @@ impl SmoothPlan {
             .solve_into(self.options.policy, means, &mut self.solve)
     }
 
-    /// SelInv covariance phase against the held factor, into reused storage.
+    /// SelInv covariance phase against the held factor, into reused storage:
+    /// one covariance per state.
     ///
     /// # Errors
     ///
     /// No prior [`SmoothPlan::execute`], or
     /// [`KalmanError::RankDeficient`] naming the first singular state.
     pub fn selinv_into(&mut self, covs: &mut Vec<Matrix>) -> Result<()> {
+        self.selinv_prefix_into(covs, usize::MAX)
+    }
+
+    /// [`SmoothPlan::selinv_into`] for the first `states` states only
+    /// (all of them when `states` is at least the state count): SelInv
+    /// runs on the closure of that prefix (see
+    /// [`crate::selinv_diag_into_with`]), and `covs` receives exactly
+    /// `min(states, num_states)` blocks, bitwise equal to the leading
+    /// blocks of [`SmoothPlan::selinv_into`].  How a streaming flush pays
+    /// only for the covariances it finalizes.
+    ///
+    /// # Errors
+    ///
+    /// As [`SmoothPlan::selinv_into`].
+    pub fn selinv_prefix_into(&mut self, covs: &mut Vec<Matrix>, states: usize) -> Result<()> {
         self.require_factor()?;
         let _arena = self.arena_guard();
         let _span = kalman_obs::span!("oe.selinv");
@@ -500,6 +516,7 @@ impl SmoothPlan {
             self.schedule.kernels(),
             &self.r,
             self.options.policy,
+            states,
             covs,
             &mut self.selinv,
         )
@@ -764,6 +781,44 @@ mod tests {
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(a.dims(), &[2, 2, 2]); // in-flight Arcs stay valid
+    }
+
+    /// Every prefix SelInv equals the leading blocks of the full SelInv bit
+    /// for bit: uniform `n ∈ {2, 4, 5}` and alternating dimensions, every
+    /// window length up to 41 states, every prefix (and one past the end),
+    /// sequential and finest-grain parallel.
+    #[test]
+    fn selinv_prefix_is_bitwise_the_full_prefix() {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for k in 1..=40usize {
+            let mut models: Vec<LinearModel> = [2usize, 4, 5]
+                .iter()
+                .map(|&n| generators::paper_benchmark(&mut rng(900 + k as u64), n, k, true))
+                .collect();
+            models.push(generators::dimension_change(&mut rng(950 + k as u64), 2, k));
+            for model in &models {
+                for policy in [ExecPolicy::Seq, ExecPolicy::par_with_grain(1)] {
+                    let opts = OddEvenOptions {
+                        covariances: true,
+                        policy,
+                        compress_odd: true,
+                    };
+                    let mut plan = SmoothPlan::for_model(model, opts).unwrap();
+                    plan.execute(&mut whiten_model(model).unwrap()).unwrap();
+                    let mut full = Vec::new();
+                    plan.selinv_into(&mut full).unwrap();
+                    assert_eq!(full.len(), model.num_states());
+                    let mut prefix = Vec::new();
+                    for p in 0..=full.len() + 1 {
+                        plan.selinv_prefix_into(&mut prefix, p).unwrap();
+                        assert_eq!(prefix.len(), p.min(full.len()), "k={k} p={p}");
+                        for (i, (a, b)) in prefix.iter().zip(&full).enumerate() {
+                            assert_eq!(bits(a), bits(b), "k={k} p={p} block {i} {policy:?}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

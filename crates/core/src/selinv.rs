@@ -37,12 +37,15 @@ struct SRow {
 }
 
 /// Reusable containers for [`selinv_diag_into`]: the selected-inverse row
-/// table and per-level batch results.  Carries no state between calls;
+/// table, per-level batch results and, for a prefix request, the needed-row
+/// marks and per-level needed lists.  Carries no state between calls;
 /// `Clone` yields a fresh one.
 #[derive(Debug, Default)]
 pub struct SelinvScratch {
     s: Vec<Option<SRow>>,
     computed: Vec<Option<Result<SRow>>>,
+    needed: Vec<bool>,
+    levels: Vec<Vec<usize>>,
 }
 
 impl Clone for SelinvScratch {
@@ -98,36 +101,77 @@ pub fn selinv_diag_into(
     out: &mut Vec<Matrix>,
     scratch: &mut SelinvScratch,
 ) -> Result<()> {
-    selinv_diag_into_with(KernelKind::Auto, r, policy, out, scratch)
+    selinv_diag_into_with(KernelKind::Auto, r, policy, usize::MAX, out, scratch)
 }
 
-/// [`selinv_diag_into`] with plan-time kernel selection: `kind` binds the
-/// GEMM entry once per call (a [`kalman_dense::GemmFn`] pointer), so a
+/// [`selinv_diag_into`] with plan-time kernel selection and a prefix
+/// request: `out` receives the covariances of states `0..states` only
+/// (all of them when `states >= r.num_states()`).  `kind` binds the GEMM
+/// entry once per call (a [`kalman_dense::GemmFn`] pointer), so a
 /// monomorphized plan's accumulation updates skip per-call shape dispatch.
+///
+/// A prefix request computes only the rows the prefix depends on: the
+/// closure of rows `0..states` under `R`'s off-diagonal targets (row `j`'s
+/// `S_jj` reads `S` at its ≤ 2 targets, which sit at deeper levels).  For a
+/// streaming window that finalizes its oldest steps this is the prefix plus
+/// one chain of `O(log k)` ancestors.  Every computed row sees the same
+/// inputs in the same order as in the full run, so the blocks are bitwise
+/// identical to the first `states` blocks of a full run.
 ///
 /// # Errors
 ///
-/// [`KalmanError::RankDeficient`] naming the first singular diagonal block.
+/// [`KalmanError::RankDeficient`] naming the first singular diagonal block
+/// among the computed rows.
 pub fn selinv_diag_into_with(
     kind: KernelKind,
     r: &OddEvenR,
     policy: ExecPolicy,
+    states: usize,
     out: &mut Vec<Matrix>,
     scratch: &mut SelinvScratch,
 ) -> Result<()> {
     let gemm = kind.gemm();
     let k1 = r.num_states();
-    let s = &mut scratch.s;
+    let states = states.min(k1);
+    let SelinvScratch {
+        s,
+        computed,
+        needed,
+        levels: needed_levels,
+    } = scratch;
     s.clear();
     s.resize_with(k1, || None);
 
+    let levels: &[Vec<usize>] = if states == k1 {
+        &r.levels
+    } else {
+        // Closure of the prefix, in elimination order: a needed row marks
+        // its targets, which are eliminated later in this same pass.
+        needed.clear();
+        needed.resize(k1, false);
+        needed[..states].fill(true);
+        needed_levels.resize_with(r.levels.len(), Vec::new);
+        for (list, level) in needed_levels.iter_mut().zip(&r.levels) {
+            list.clear();
+            for &j in level {
+                if needed[j] {
+                    list.push(j); // lint: allow(alloc, "push into a cleared per-level list that retains capacity across windows; amortized, steady-state alloc-free")
+                    for (a, _) in &r.rows[j].off {
+                        needed[*a] = true;
+                    }
+                }
+            }
+        }
+        needed_levels
+    };
+
     // Root-to-level-0: reverse elimination order.  As in the solve phase,
     // levels that fit in one grain run sequentially (bitwise identical).
-    for level in r.levels.iter().rev() {
+    for level in levels.iter().rev() {
         let level_policy = policy.for_len(level.len());
         {
             let s_ref = &*s;
-            map_collect_into(level_policy, level.len(), &mut scratch.computed, |idx| {
+            map_collect_into(level_policy, level.len(), computed, |idx| {
                 let j = level[idx];
                 let row = &r.rows[j];
                 // X_a = R_jj⁻¹ R_{j,a} for each target a (|off| ≤ 2 is a
@@ -176,16 +220,19 @@ pub fn selinv_diag_into_with(
                 Ok(SRow { diag, off: s_off })
             });
         }
-        for (idx, slot) in scratch.computed.iter_mut().enumerate() {
+        for (idx, slot) in computed.iter_mut().enumerate() {
             let row = slot.take().expect("filled above")?;
             s[level[idx]] = Some(row);
         }
     }
 
     out.clear();
-    for row in s.iter_mut() {
-        out.push(row.take().expect("all states processed").diag); // lint: allow(alloc, "push into cleared output that retains capacity across windows; amortized, steady-state alloc-free")
+    for row in &mut s[..states] {
+        out.push(row.take().expect("prefix rows processed").diag); // lint: allow(alloc, "push into cleared output that retains capacity across windows; amortized, steady-state alloc-free")
     }
+    // Release the prefix's ancestors' blocks to the workspace now rather
+    // than at the next call.
+    s.clear();
     Ok(())
 }
 

@@ -41,6 +41,20 @@ impl CovarianceSpec {
     }
 
     /// Validates positivity; `step` is used only for error reporting.
+    ///
+    /// A `Dense` covariance must be square, finite in every entry and
+    /// symmetric up to rounding: `|a_ij − a_ji| ≤ 16·ε·max(|a_ij|, |a_ji|)`
+    /// for every pair (`ε` = `f64::EPSILON`), then pass a Cholesky
+    /// factorization.  The whitening paths read only the lower triangle
+    /// while others use the full matrix, so an entry outside the lower
+    /// triangle must not be able to make them disagree.
+    ///
+    /// # Errors
+    ///
+    /// [`KalmanError::NotPositiveDefinite`] for a non-positive or
+    /// non-finite variance, a non-finite dense entry, or a dense matrix
+    /// that is not positive definite; [`KalmanError::InvalidModel`] for a
+    /// dense matrix that is not square or not symmetric.
     pub fn validate(&self, step: usize) -> Result<()> {
         match self {
             CovarianceSpec::Identity(_) => Ok(()),
@@ -62,6 +76,21 @@ impl CovarianceSpec {
                 if !m.is_square() {
                     return Err(KalmanError::InvalidModel(format!(
                         "covariance at step {step} is not square"
+                    )));
+                }
+                if m.as_slice().iter().any(|x| !x.is_finite()) {
+                    return Err(KalmanError::NotPositiveDefinite { step });
+                }
+                let n = m.rows();
+                let symmetric = (0..n).all(|i| {
+                    (0..i).all(|j| {
+                        let (a, b) = (m[(i, j)], m[(j, i)]);
+                        (a - b).abs() <= 16.0 * f64::EPSILON * a.abs().max(b.abs())
+                    })
+                });
+                if !symmetric {
+                    return Err(KalmanError::InvalidModel(format!(
+                        "covariance at step {step} is not symmetric"
                     )));
                 }
                 Cholesky::new(m)

@@ -546,10 +546,13 @@ impl StreamingSmoother {
             return Ok(0);
         }
         let _span = kalman_obs::span!("stream.flush");
-        self.smooth_window_scratch()?;
+        self.smooth_window_scratch(count)?;
         self.adapt_lag();
         let emitted = self.emit_into(count, out);
-        self.forget(count)?;
+        {
+            let _span = kalman_obs::span!("stream.forget");
+            self.forget(count)?;
+        }
         Ok(emitted)
     }
 
@@ -561,7 +564,7 @@ impl StreamingSmoother {
     ///
     /// As [`StreamingSmoother::flush`].
     pub fn finish(mut self) -> Result<(Vec<FinalizedStep>, Checkpoint)> {
-        self.smooth_window_scratch()?;
+        self.smooth_window_scratch(self.buffer.len())?;
         let mut finalized = Vec::new();
         self.emit_into(self.buffer.len(), &mut finalized);
         // Condense every remaining step, then the final state's own
@@ -669,8 +672,10 @@ impl StreamingSmoother {
 
     /// Re-smooths the window through the cached plan: whiten → (re-plan if
     /// the window shape changed) → execute → solve → (optionally) SelInv,
-    /// leaving the estimates in `self.scratch.means` / `self.scratch.covs`.
-    fn smooth_window_scratch(&mut self) -> Result<()> {
+    /// leaving the estimates in `self.scratch.means` (every buffered step)
+    /// and `self.scratch.covs` (the oldest `emit` steps only: SelInv runs
+    /// on the closure of the prefix the caller finalizes).
+    fn smooth_window_scratch(&mut self, emit: usize) -> Result<()> {
         let plan_opts = self.plan_options();
         let Self {
             opts,
@@ -680,7 +685,10 @@ impl StreamingSmoother {
             plan_builds,
             ..
         } = self;
-        whiten_window_into(head, buffer, &mut scratch.steps)?;
+        {
+            let _span = kalman_obs::span!("stream.whiten");
+            whiten_window_into(head, buffer, &mut scratch.steps)?;
+        }
         scratch.dims.clear();
         scratch
             .dims
@@ -695,7 +703,7 @@ impl StreamingSmoother {
         plan.execute(&mut scratch.steps)?;
         plan.solve_into(&mut scratch.means)?;
         if opts.covariances {
-            plan.selinv_into(&mut scratch.covs)?;
+            plan.selinv_prefix_into(&mut scratch.covs, emit)?;
         }
         record_backend_dispatch();
         Ok(())

@@ -2,7 +2,7 @@
 //! `KalmanError`, never panics or silent garbage — and malformed wire
 //! input must produce the right `WireError`, same rules.
 
-use kalman::model::generators;
+use kalman::model::{events_of, generators, StreamEvent};
 use kalman::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -94,6 +94,100 @@ fn indefinite_dense_covariance_is_rejected() {
                 Err(KalmanError::NotPositiveDefinite { step }) => assert_eq!(step, 3, "{name}"),
                 other => panic!("{name}: expected not-PD at step 3 for {noise:?}, got {other:?}"),
             }
+        }
+    }
+}
+
+/// A dense noise with a non-finite entry above the diagonal, or one that is
+/// not symmetric, fails validation itself: every smoother and the stream's
+/// ingest report the same typed error.  (Whitening reads only the lower
+/// triangle, so without the check odd-even smoothed such a model while RTS
+/// rejected it.)
+#[test]
+fn upper_non_finite_or_asymmetric_dense_noise_is_rejected_everywhere() {
+    let cases = [
+        (
+            Matrix::from_rows(&[&[1.0, f64::NAN], &[0.0, 1.0]]),
+            KalmanError::NotPositiveDefinite { step: 3 },
+        ),
+        (
+            Matrix::from_rows(&[&[1.0, 0.5], &[0.25, 1.0]]),
+            KalmanError::InvalidModel("covariance at step 3 is not symmetric".into()),
+        ),
+    ];
+    let clean = generators::paper_benchmark(&mut rng(2), 2, 5, true);
+    let opts = StreamOptions {
+        lag: 2,
+        flush_every: 1,
+        covariances: true,
+        policy: ExecPolicy::Seq,
+        ..StreamOptions::default()
+    };
+    // Streams the clean model; with `bad` set, first offers a poisoned
+    // evolution into step 3 and a poisoned observation of it, each of which
+    // must fail with `want` and leave the stream untouched.
+    let run = |bad: Option<(&Matrix, &KalmanError)>| {
+        let p = clean.prior.as_ref().unwrap();
+        let mut stream =
+            StreamingSmoother::with_prior(p.mean.clone(), p.cov.clone(), opts).unwrap();
+        let mut out = Vec::new();
+        for event in events_of(&clean) {
+            let into_3 = matches!(event, StreamEvent::Evolve(_)) && stream.next_index() == 3;
+            let poison = bad.filter(|_| into_3);
+            if let (Some((noise, want)), StreamEvent::Evolve(evo)) = (poison, &event) {
+                let evo = Evolution {
+                    noise: CovarianceSpec::Dense(noise.clone()),
+                    ..evo.clone()
+                };
+                let before = (stream.next_index(), stream.buffered_len());
+                assert_eq!(stream.evolve(evo).err().as_ref(), Some(want));
+                assert_eq!((stream.next_index(), stream.buffered_len()), before);
+            }
+            out.extend(stream.ingest(event).unwrap());
+            if let Some((noise, want)) = poison {
+                let obs = Observation {
+                    g: Matrix::identity(2),
+                    o: vec![0.0, 0.0],
+                    noise: CovarianceSpec::Dense(noise.clone()),
+                };
+                let before = (stream.next_index(), stream.buffered_len());
+                assert_eq!(stream.observe(obs).err().as_ref(), Some(want));
+                assert_eq!((stream.next_index(), stream.buffered_len()), before);
+            }
+        }
+        out.extend(stream.finish().unwrap().0);
+        out
+    };
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let want_out = run(None);
+    for (noise, want) in &cases {
+        let mut model = clean.clone();
+        model.steps[3].evolution.as_mut().unwrap().noise = CovarianceSpec::Dense(noise.clone());
+        let want = Some(want.clone());
+        assert_eq!(model.validate().err(), want, "validate, {noise:?}");
+        let results = [
+            (
+                "odd-even",
+                odd_even_smooth(&model, OddEvenOptions::default()),
+            ),
+            ("rts", rts_smooth(&model)),
+            (
+                "associative",
+                associative_smooth(&model, AssociativeOptions::default()),
+            ),
+        ];
+        for (name, result) in results {
+            assert_eq!(result.err(), want, "{name}, {noise:?}");
+        }
+        let got = run(Some((noise, want.as_ref().unwrap())));
+        assert_eq!(got.len(), want_out.len());
+        for (a, b) in got.iter().zip(&want_out) {
+            assert_eq!((a.index, bits(&a.mean)), (b.index, bits(&b.mean)));
+            let (ca, cb) = (
+                a.covariance.as_ref().unwrap(),
+                b.covariance.as_ref().unwrap(),
+            );
+            assert_eq!(bits(ca.as_slice()), bits(cb.as_slice()));
         }
     }
 }

@@ -10,6 +10,13 @@ use kalman::obs;
 use kalman::prelude::*;
 use kalman::serve::{ServeConfig, ShardedPool};
 
+/// Span histograms are process-global: every test here holds this lock so
+/// one test's span deltas never include another test's flushes.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// Drives a small sharded workload to completion: `streams` streams of
 /// `steps` steps each, drained on a fixed cadence.  Returns the pool
 /// (with its stats still live) for inspection.
@@ -63,6 +70,7 @@ fn run_workload(streams: u64, steps: usize) -> ShardedPool {
 
 #[test]
 fn json_snapshot_round_trips_through_the_bench_reader() {
+    let _serial = serial();
     let pool = run_workload(6, 40);
     let stats = pool.stats();
     let agg = stats.aggregate();
@@ -106,6 +114,7 @@ fn json_snapshot_round_trips_through_the_bench_reader() {
 
 #[test]
 fn prometheus_text_exposes_the_live_pool() {
+    let _serial = serial();
     let pool = run_workload(4, 30);
     let agg = pool.stats().aggregate();
     let text = obs::prometheus_text();
@@ -141,6 +150,7 @@ fn prometheus_text_exposes_the_live_pool() {
 
 #[test]
 fn journal_records_pool_lifecycle_and_rebalance() {
+    let _serial = serial();
     let recorded_before = obs::journal_recorded();
     let mut pool = run_workload(4, 30);
     let from = pool.shard_of(2).expect("registered");
@@ -175,6 +185,7 @@ fn journal_records_pool_lifecycle_and_rebalance() {
 
 #[test]
 fn stats_snapshot_is_consistent_with_registry_counters() {
+    let _serial = serial();
     let pool = run_workload(5, 40);
     let stats = pool.stats();
     let prefix = pool.metrics_prefix();
@@ -211,6 +222,7 @@ fn stats_snapshot_is_consistent_with_registry_counters() {
 
 #[test]
 fn stats_display_renders_per_shard_and_aggregate_rows() {
+    let _serial = serial();
     let pool = run_workload(3, 30);
     let stats = pool.stats();
     let table = stats.to_string();
@@ -230,6 +242,7 @@ fn stats_display_renders_per_shard_and_aggregate_rows() {
 
 #[test]
 fn queue_wait_histogram_fills_exactly_when_instrumentation_is_live() {
+    let _serial = serial();
     let pool = run_workload(4, 30);
     let agg = pool.stats().aggregate();
     if obs::enabled() {
@@ -239,4 +252,71 @@ fn queue_wait_histogram_fills_exactly_when_instrumentation_is_live() {
         // obs-off: stamps are inert, the histogram never fills.
         assert_eq!(agg.queue_wait.count, 0);
     }
+}
+
+/// The flush-internal spans close a flush's time budget: after `N` flushes
+/// `stream.whiten` and `stream.forget` each hold `N` new samples, and their
+/// time plus the odd-even phases' fits inside `stream.flush`.
+#[test]
+fn flush_phase_spans_nest_inside_the_flush_span() {
+    let _serial = serial();
+    const FLUSHES: u64 = 12;
+    let names = [
+        "stream.flush",
+        "stream.whiten",
+        "stream.forget",
+        "oe.factor",
+        "oe.solve",
+        "oe.selinv",
+    ];
+    let before: Vec<_> = names.iter().map(|n| obs::histogram(n).snapshot()).collect();
+    let opts = StreamOptions {
+        lag: 6,
+        flush_every: 3,
+        covariances: true,
+        policy: ExecPolicy::Seq,
+        auto_flush: false,
+        ..StreamOptions::default()
+    };
+    let mut stream = StreamingSmoother::with_prior(vec![0.0; 2], CovarianceSpec::Identity(2), opts)
+        .expect("valid options");
+    let mut flushes = 0;
+    for i in 0.. {
+        if stream.ready() {
+            assert_eq!(stream.flush().expect("window solvable").len(), 3);
+            flushes += 1;
+            if flushes == FLUSHES {
+                break;
+            }
+        }
+        if i > 0 {
+            stream.evolve(Evolution::random_walk(2)).expect("valid");
+        }
+        let o = vec![(i as f64 * 0.1).sin(), (i as f64 * 0.2).cos()];
+        stream
+            .observe(Observation {
+                g: Matrix::identity(2),
+                o,
+                noise: CovarianceSpec::Identity(2),
+            })
+            .expect("valid");
+    }
+    let delta: Vec<_> = names
+        .iter()
+        .zip(&before)
+        .map(|(n, b)| obs::histogram(n).snapshot().since(b))
+        .collect();
+    if !obs::enabled() {
+        assert!(delta.iter().all(|d| d.count == 0));
+        return;
+    }
+    for (name, d) in names.iter().zip(&delta).take(3) {
+        assert_eq!(d.count, FLUSHES, "{name}");
+    }
+    let inner: u64 = delta[1..].iter().map(|d| d.sum).sum();
+    assert!(
+        inner <= delta[0].sum,
+        "phase spans {inner} ns exceed the flush span {} ns",
+        delta[0].sum
+    );
 }

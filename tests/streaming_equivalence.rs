@@ -348,3 +348,51 @@ fn checkpoint_resume_is_transparent() {
         assert!(diff < 1e-8, "state {}: diff {diff}", f.index);
     }
 }
+
+/// A flush runs SelInv only on the closure of the steps it finalizes; the
+/// covariances it emits must still be the ones a full smooth of the same
+/// window computes ([`StreamingSmoother::smoothed`] just before the flush).
+#[test]
+fn flush_covariances_match_the_window_smoothed_before_it() {
+    let model = generators::paper_benchmark(&mut rng(77), 3, 120, true);
+    for lag in [1usize, 2, 8, 12, 24] {
+        for flush_every in [1, (lag / 2).max(1), lag] {
+            let opts = StreamOptions {
+                lag,
+                flush_every,
+                covariances: true,
+                policy: ExecPolicy::Seq,
+                auto_flush: false,
+                ..StreamOptions::default()
+            };
+            let mut stream = stream_for(&model, opts);
+            let mut checked = 0;
+            for event in events_of(&model) {
+                // Flush only between steps, once the newest step holds its
+                // observation.
+                if matches!(event, StreamEvent::Evolve(_)) && stream.ready() {
+                    let window = stream.smoothed().unwrap();
+                    let base = stream.next_index() - stream.buffered_len() as u64;
+                    let out = stream.flush().unwrap();
+                    assert!(
+                        !out.is_empty(),
+                        "lag {lag}/{flush_every}: flush finalized nothing"
+                    );
+                    for f in &out {
+                        let got = f.covariance.as_ref().expect("covariances on");
+                        let want = window.covariance((f.index - base) as usize).unwrap();
+                        let diff = got.max_abs_diff(want);
+                        assert!(
+                            diff <= 1e-12 * want.max_abs(),
+                            "lag {lag}/{flush_every}, step {}: cov diff {diff}",
+                            f.index
+                        );
+                        checked += 1;
+                    }
+                }
+                stream.ingest(event).unwrap();
+            }
+            assert!(checked > 0, "lag {lag}/{flush_every}: no flush checked");
+        }
+    }
+}
